@@ -9,24 +9,24 @@ rerun from the manifest reproduces identical CSV bytes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
 from .data import (BASE_SITE, NOVEL_SITE, SiteConfig, generate_site, save_site,
                    split_dataset)
-from .sweeps import (DATA_ADDITION_FRACTIONS, NOISE_SWEEP_GRID, SweepSettings,
+from .sweeps import (NOISE_SWEEP_MODES, SWEEP_SEEDS, SweepSettings,
                      data_addition_sweep, noise_sweep, read_sweep_csv,
                      write_sweep_csv)
 from .report import write_sweep_chart
 from .tensor import ContractError, DimensionError
 from .theory import (lemma1_violation_rate, lemma2_gradient, mediation_mc,
                      weight_norm_experiment)
-from .trainer import (TrainConfig, TrainingAborted, evaluate, train,
+from .trainer import (LOSS_MODES, TrainConfig, TrainingAborted, evaluate, train,
                       write_eval_csv, write_history_csv)
 from .unet import UNetConfig, init_params, save_checkpoint
 
@@ -38,30 +38,35 @@ EXIT_ABORT = 3
 
 def _site(name: str, image_size: tuple[int, int]) -> SiteConfig:
     proto = BASE_SITE if name == "base" else NOVEL_SITE
-    return SiteConfig(name=proto.name, fg_intensity_mean=proto.fg_intensity_mean,
-                      bg_intensity_mean=proto.bg_intensity_mean,
-                      texture_sigma=proto.texture_sigma,
-                      blur_radius=proto.blur_radius, n_shapes=proto.n_shapes,
-                      image_size=image_size)
+    return dataclasses.replace(proto, image_size=image_size)
 
 
-def _load_config_file(path: str | None) -> dict:
+def _load_config_file(path: str | None, keys: list[str]) -> dict:
+    """Values from a JSON config file, or from the `config` object of a run's
+    manifest.json. A key the command does not know is an error."""
     if not path:
         return {}
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ContractError(f"{path}: config must be a JSON object")
+    if isinstance(cfg.get("config"), dict):
+        cfg = cfg["config"]
+    unknown = sorted(set(cfg) - set(keys))
+    if unknown:
+        raise ContractError(f"{path}: unknown config key(s) {', '.join(unknown)}")
+    return cfg
 
 
-def _resolve(args: argparse.Namespace, keys: list[str]) -> dict:
-    """Merge config file values with CLI flags; explicit flags win."""
-    cfg = _load_config_file(getattr(args, "config", None))
-    out = {}
+def _resolve(args: argparse.Namespace, keys: list[str],
+             defaults: dict) -> dict:
+    """Defaults, overridden by config file values, overridden by CLI flags."""
+    out = dict(defaults)
+    out.update(_load_config_file(getattr(args, "config", None), keys))
     for key in keys:
         flag_val = getattr(args, key, None)
         if flag_val is not None:
             out[key] = flag_val
-        elif key in cfg:
-            out[key] = cfg[key]
     return out
 
 
@@ -89,20 +94,14 @@ TRAIN_KEYS = ["site", "loss", "seed", "phase1_epochs", "phase2_epochs",
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, TRAIN_KEYS)
-    resolved.setdefault("site", "base")
-    resolved.setdefault("loss", "seg+fd")
-    resolved.setdefault("seed", 0)
-    resolved.setdefault("phase1_epochs", 40)
-    resolved.setdefault("phase2_epochs", 30)
-    resolved.setdefault("batch_size", 8)
-    resolved.setdefault("lr", 0.05)
-    resolved.setdefault("n_samples", 40)
-    resolved.setdefault("image_size", 64)
-    resolved.setdefault("depth", 2)
-    resolved.setdefault("base_channels", 8)
-    resolved.setdefault("noise_sigma", 0.0)
-    resolved.setdefault("no_augment", False)
+    tc, uc = TrainConfig(), UNetConfig()
+    resolved = _resolve(args, TRAIN_KEYS, {
+        "site": "base", "loss": tc.loss_mode, "seed": tc.seed,
+        "phase1_epochs": tc.phase1_epochs, "phase2_epochs": tc.phase2_epochs,
+        "batch_size": tc.batch_size, "lr": tc.lr, "n_samples": 40,
+        "image_size": uc.image_size[0], "depth": uc.depth,
+        "base_channels": uc.base_channels, "noise_sigma": tc.noise_sigma,
+        "no_augment": not tc.augment_train})
 
     _prepare_out_dir(args.out, args.force)
     _write_manifest(args.out, "train", resolved)
@@ -140,11 +139,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, ["site", "n_samples", "seed", "image_size"])
-    resolved.setdefault("site", "base")
-    resolved.setdefault("n_samples", 40)
-    resolved.setdefault("seed", 1234)
-    resolved.setdefault("image_size", 64)
+    resolved = _resolve(args, ["site", "n_samples", "seed", "image_size"],
+                        {"site": "base", "n_samples": 40, "seed": 1234,
+                         "image_size": BASE_SITE.image_size[0]})
     _prepare_out_dir(args.out, args.force)
     _write_manifest(args.out, "gen-data", resolved)
     size = (resolved["image_size"], resolved["image_size"])
@@ -172,23 +169,18 @@ def _sweep_settings(resolved: dict) -> SweepSettings:
                          cap_novel_at_base=resolved.get("cap_novel_at_base", False))
 
 
-def _sweep_defaults(resolved: dict) -> None:
-    resolved.setdefault("seeds", "0,1,2,3,4")
-    resolved.setdefault("n_base", 40)
-    resolved.setdefault("n_novel", 40)
-    resolved.setdefault("phase1_epochs", 12)
-    resolved.setdefault("phase2_epochs", 9)
-    resolved.setdefault("batch_size", 8)
-    resolved.setdefault("lr", 0.05)
-    resolved.setdefault("image_size", 32)
-    resolved.setdefault("no_augment", False)
+def _resolve_sweep(args: argparse.Namespace, loss_modes) -> dict:
+    ss = SweepSettings()
+    return _resolve(args, SWEEP_KEYS, {
+        "seeds": ",".join(map(str, SWEEP_SEEDS)), "n_base": ss.n_base,
+        "n_novel": ss.n_novel, "phase1_epochs": ss.phase1_epochs,
+        "phase2_epochs": ss.phase2_epochs, "batch_size": ss.batch_size,
+        "lr": ss.lr, "image_size": 32, "no_augment": not ss.augment_train,
+        "loss_modes": ",".join(loss_modes)})
 
 
 def cmd_data_addition(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, SWEEP_KEYS)
-    _sweep_defaults(resolved)
-    resolved.setdefault("loss_modes",
-                        "seg_only,seg+fd,seg+fd+exch,seg+con_stub,seg+deeps_stub")
+    resolved = _resolve_sweep(args, LOSS_MODES)
     _prepare_out_dir(args.out, args.force)
     _write_manifest(args.out, "data-addition", resolved)
     settings = _sweep_settings(resolved)
@@ -205,9 +197,7 @@ def cmd_data_addition(args: argparse.Namespace) -> int:
 
 
 def cmd_noise_sweep(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, SWEEP_KEYS)
-    _sweep_defaults(resolved)
-    resolved.setdefault("loss_modes", "seg_only,seg+fd")
+    resolved = _resolve_sweep(args, NOISE_SWEEP_MODES)
     _prepare_out_dir(args.out, args.force)
     _write_manifest(args.out, "noise-sweep", resolved)
     settings = _sweep_settings(resolved)
@@ -224,12 +214,9 @@ def cmd_noise_sweep(args: argparse.Namespace) -> int:
 
 def cmd_lemma_checks(args: argparse.Namespace) -> int:
     resolved = _resolve(args, ["seed", "lemma1_samples", "mediation_a",
-                               "mediation_b", "mediation_n"])
-    resolved.setdefault("seed", 0)
-    resolved.setdefault("lemma1_samples", 100)
-    resolved.setdefault("mediation_a", 1.0)
-    resolved.setdefault("mediation_b", 1.0)
-    resolved.setdefault("mediation_n", 100_000)
+                               "mediation_b", "mediation_n"],
+                        {"seed": 0, "lemma1_samples": 100, "mediation_a": 1.0,
+                         "mediation_b": 1.0, "mediation_n": 100_000})
     _prepare_out_dir(args.out, args.force)
     _write_manifest(args.out, "lemma-checks", resolved)
 
@@ -310,8 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one model on one synthetic site")
     common(p)
     p.add_argument("--site", choices=["base", "novel"])
-    p.add_argument("--loss", choices=["seg_only", "seg+fd", "seg+fd+exch",
-                                      "seg+con_stub", "seg+deeps_stub"])
+    p.add_argument("--loss", choices=LOSS_MODES)
     p.add_argument("--seed", type=int)
     p.add_argument("--phase1-epochs", dest="phase1_epochs", type=int)
     p.add_argument("--phase2-epochs", dest="phase2_epochs", type=int)

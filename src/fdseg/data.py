@@ -125,9 +125,6 @@ def add_gaussian_noise(image: np.ndarray, sigma: float, seed: int) -> np.ndarray
     return np.clip(noisy, 0.0, 1.0).astype(image.dtype)
 
 
-NOISE_SWEEP_SIGMAS = (0.05, 0.10, 0.15, 0.20)
-
-
 def augment(sample: SiteSample) -> list[SiteSample]:
     """[original, hflip, vflip, rot+90, rot-90], same transform on image and mask."""
     h, w = sample.image.shape[:2]

@@ -3,7 +3,7 @@ the cross-sample exchangeable variant, and the warm-started alpha schedule."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -100,10 +100,20 @@ def feature_summary(features: Tensor, mask: Tensor) -> MaskedFeatureSummary:
     )
 
 
+def neg_log_sq_norm(diff: Tensor, axis=None) -> Tensor:
+    """-log(||diff||^2 + 1e-12), the norm taken over `axis` (all axes by default)."""
+    return -log(tsum(square(diff), axis=axis) + FD_EPS)
+
+
 def fd_loss(summary: MaskedFeatureSummary) -> Tensor:
     """-log(||F_g - B_g||^2 + 1e-12) on the batch-averaged summaries."""
-    diff = summary.fg_mean - summary.bg_mean
-    return -log(tsum(square(diff)) + FD_EPS)
+    return neg_log_sq_norm(summary.fg_mean - summary.bg_mean)
+
+
+def fd_term(summary: MaskedFeatureSummary, tap: FeatureTap,
+            pooled_mask: Tensor) -> Tensor:
+    """The paper's per-tap term: fd_loss of the tap's summary."""
+    return fd_loss(summary)
 
 
 def fd_exch_loss(summary: MaskedFeatureSummary,
@@ -197,12 +207,17 @@ def total_loss(pred: Tensor, target: Tensor, taps: Sequence[FeatureTap],
                pooled_masks: Sequence[Tensor], state: AlphaState,
                exch_enabled: bool = False,
                source_tags: Optional[Sequence[str]] = None,
-               exch_seed: int = 0) -> LossBreakdown:
-    """Composite objective: L_seg + sum_l alpha_l * (fd_l [+ fd_exch_l]).
+               exch_seed: int = 0,
+               term: Callable[[MaskedFeatureSummary, FeatureTap, Tensor],
+                              Optional[Tensor]] = fd_term) -> LossBreakdown:
+    """Composite objective: L_seg + sum_l alpha_l * (term_l [+ fd_exch_l]).
 
-    alpha values enter as constants; they are updated by alpha_update, never by
-    backward. During warmup the returned total tensor IS the seg tensor, so the
-    phase-1 trajectory is bit-identical to a seg-only run.
+    term maps a tap's feature summary, the tap and its pooled mask to the tap's
+    auxiliary loss, or to None where the tap has none; its value is reported
+    in fd_per_tap (0.0 for None) and drives alpha_update. alpha values enter as
+    constants; they are updated by alpha_update, never by backward. During
+    warmup the returned total tensor IS the seg tensor, so the phase-1
+    trajectory is bit-identical to a seg-only run.
     """
     if len(taps) != len(pooled_masks):
         raise ContractError(
@@ -219,10 +234,9 @@ def total_loss(pred: Tensor, target: Tensor, taps: Sequence[FeatureTap],
                 f"tap {tap.name}: pooled mask {pm.shape} vs activation "
                 f"{tap.activation.shape}")
         summary = feature_summary(tap.activation, pm)
-        fd_t = fd_loss(summary)
-        fd_vals.append(fd_t.item())
+        contrib = term(summary, tap, pm)
+        fd_vals.append(0.0 if contrib is None else contrib.item())
         a = float(state.alpha[i])
-        contrib = fd_t
         if exch_enabled:
             ex_t, warn = fd_exch_loss(summary, source_tags=source_tags,
                                       seed=exch_seed + i)
@@ -230,7 +244,7 @@ def total_loss(pred: Tensor, target: Tensor, taps: Sequence[FeatureTap],
             if warn and warning is None:
                 warning = warn
             contrib = contrib + ex_t
-        if a != 0.0:
+        if a != 0.0 and contrib is not None:
             total_t = total_t + a * contrib
 
     # Report the scalar total in double precision so it satisfies the

@@ -6,16 +6,18 @@ import csv
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .data import BASE_SITE, NOVEL_SITE, SiteConfig, generate_site, split_dataset
-from .trainer import TrainConfig, TrainingAborted, evaluate, train
+from .trainer import LOSS_MODES, TrainConfig, TrainingAborted, evaluate, train
 from .unet import UNetConfig, init_params
 
 DATA_ADDITION_FRACTIONS = (0.0, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0)
 NOISE_SWEEP_GRID = (0.0, 0.05, 0.10, 0.15, 0.20)
+NOISE_SWEEP_MODES = LOSS_MODES[:2]          # seg_only vs seg+fd
+SWEEP_SEEDS = (0, 1, 2, 3, 4)
 
 
 @dataclass
@@ -25,8 +27,8 @@ class SweepSettings:
     novel_site: SiteConfig = NOVEL_SITE
     n_base: int = 40
     n_novel: int = 40
-    phase1_epochs: int = 40
-    phase2_epochs: int = 30
+    phase1_epochs: int = 12
+    phase2_epochs: int = 9
     batch_size: int = 8
     lr: float = 0.05
     depth: int = 2
@@ -65,12 +67,17 @@ class SweepResult:
         return out
 
 
-def _train_and_score(settings: SweepSettings, seed: int, loss_mode: str,
-                     extra_train: Optional[list] = None,
-                     noise_sigma: float = 0.0) -> tuple[float, float]:
+def _base_split(settings: SweepSettings) -> tuple[list, list, list]:
     base = generate_site(settings.base_site, settings.n_base, settings.data_seed)
-    train_b, test_b, val_b = split_dataset(base, seed=settings.data_seed)
-    train_set = list(train_b) + (extra_train or [])
+    return split_dataset(base, seed=settings.data_seed)
+
+
+def _train_and_score(settings: SweepSettings, seed: int, loss_mode: str,
+                     base_split: tuple[list, list, list],
+                     extra_train: Sequence = (),
+                     noise_sigma: float = 0.0) -> tuple[float, float]:
+    train_b, test_b, val_b = base_split
+    train_set = list(train_b) + list(extra_train)
 
     cfg = TrainConfig(phase1_epochs=settings.phase1_epochs,
                       phase2_epochs=settings.phase2_epochs,
@@ -91,6 +98,7 @@ def _train_and_score(settings: SweepSettings, seed: int, loss_mode: str,
 def run_data_addition_cell(args: tuple) -> SweepRow:
     settings, fraction, seed, loss_mode = args
     try:
+        base_split = _base_split(settings)
         extra = []
         if fraction > 0:
             novel = generate_site(settings.novel_site, settings.n_novel,
@@ -98,12 +106,10 @@ def run_data_addition_cell(args: tuple) -> SweepRow:
             novel_train, _, _ = split_dataset(novel, seed=settings.data_seed + 1)
             n_add = max(1, round(fraction * len(novel_train)))
             if settings.cap_novel_at_base:
-                base_n_train = len(split_dataset(
-                    generate_site(settings.base_site, settings.n_base,
-                                  settings.data_seed), seed=settings.data_seed)[0])
-                n_add = min(n_add, base_n_train)
+                n_add = min(n_add, len(base_split[0]))
             extra = novel_train[:n_add]
-        dice, iou = _train_and_score(settings, seed, loss_mode, extra_train=extra)
+        dice, iou = _train_and_score(settings, seed, loss_mode, base_split,
+                                     extra_train=extra)
         return SweepRow(fraction, seed, loss_mode, dice, iou)
     except TrainingAborted as exc:
         return SweepRow(fraction, seed, loss_mode, float("nan"), float("nan"),
@@ -113,7 +119,8 @@ def run_data_addition_cell(args: tuple) -> SweepRow:
 def run_noise_cell(args: tuple) -> SweepRow:
     settings, sigma, seed, loss_mode = args
     try:
-        dice, iou = _train_and_score(settings, seed, loss_mode, noise_sigma=sigma)
+        dice, iou = _train_and_score(settings, seed, loss_mode,
+                                     _base_split(settings), noise_sigma=sigma)
         return SweepRow(sigma, seed, loss_mode, dice, iou)
     except TrainingAborted as exc:
         return SweepRow(sigma, seed, loss_mode, float("nan"), float("nan"),
@@ -136,10 +143,8 @@ def _run_cells(fn, cells: list[tuple]) -> list[SweepRow]:
 
 def data_addition_sweep(settings: SweepSettings,
                         fractions: Sequence[float] = DATA_ADDITION_FRACTIONS,
-                        loss_modes: Sequence[str] = ("seg_only", "seg+fd",
-                                                     "seg+fd+exch", "seg+con_stub",
-                                                     "seg+deeps_stub"),
-                        seeds: Sequence[int] = (0, 1, 2, 3, 4)) -> SweepResult:
+                        loss_modes: Sequence[str] = LOSS_MODES,
+                        seeds: Sequence[int] = SWEEP_SEEDS) -> SweepResult:
     cells = [(settings, f, s, m)
              for f in fractions for m in loss_modes for s in seeds]
     return SweepResult(rows=_run_cells(run_data_addition_cell, cells))
@@ -147,8 +152,8 @@ def data_addition_sweep(settings: SweepSettings,
 
 def noise_sweep(settings: SweepSettings,
                 sigmas: Sequence[float] = NOISE_SWEEP_GRID,
-                loss_modes: Sequence[str] = ("seg_only", "seg+fd"),
-                seeds: Sequence[int] = (0, 1, 2, 3, 4)) -> SweepResult:
+                loss_modes: Sequence[str] = NOISE_SWEEP_MODES,
+                seeds: Sequence[int] = SWEEP_SEEDS) -> SweepResult:
     cells = [(settings, sg, s, m)
              for sg in sigmas for m in loss_modes for s in seeds]
     return SweepResult(rows=_run_cells(run_noise_cell, cells))

@@ -99,9 +99,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor(self.values.copy(), requires_grad=False, op="detach")
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self.op}, grad={self.requires_grad})"
 

@@ -5,18 +5,84 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate
+from scipy import special
 
 from .data import SiteSample, add_gaussian_noise, augment
 from .losses import (AlphaState, LossBreakdown, alpha_update, bce_loss,
-                     fd_loss, feature_summary, pool_mask, total_loss)
-from .tensor import Tensor, ContractError, backward, sigmoid, tsum
-from .unet import UNet, UNetConfig, init_params
+                     fd_term, feature_summary, neg_log_sq_norm, pool_mask,
+                     total_loss)
+# perfbench/spans.py wraps fdseg.trainer.fd_loss, so the name stays importable.
+from .losses import fd_loss  # noqa: F401
+from .tensor import (Tensor, ContractError, backward, conv2d, exp, log,
+                     sigmoid, sqrt, square, tsum)
+from .unet import UNet
 
-LOSS_MODES = ("seg_only", "seg+fd", "seg+fd+exch", "seg+con_stub", "seg+deeps_stub")
+
+def _con_stub_term(summary, tap, pooled_mask, temperature: float = 0.1):
+    """Contrastive comparison stub: push the pooled fg/bg mean vectors apart by
+    penalizing their cosine similarity under a temperature softmax."""
+    f, b = summary.fg_mean, summary.bg_mean
+    nf = sqrt(tsum(square(f)) + 1e-8)
+    nb = sqrt(tsum(square(b)) + 1e-8)
+    cos = tsum(f * b) / (nf * nb)
+    pos = exp(Tensor(np.full((1, 1, 1, 1), 1.0 / temperature, f.dtype)))
+    neg = exp(cos * (1.0 / temperature))
+    return -log(pos / (pos + neg))
+
+
+def _deeps_stub(model: UNet, seed: int):
+    """Deep-supervision stub: BCE of a 1x1-conv head at each decoder tap.
+    Returns the per-tap term and the heads' parameters."""
+    rng = np.random.default_rng([seed, 77])
+    heads = {}
+    for name in model.config.tap_names():
+        if not name.startswith("dec_"):
+            continue
+        level = int(name.split("_")[1])
+        cin = model.config.base_channels * 2 ** (model.config.depth - level)
+        s = math.sqrt(6.0 / (cin + 1))
+        w = Tensor(rng.uniform(-s, s, (1, 1, cin, 1)).astype(np.float32),
+                   requires_grad=True)
+        b = Tensor(np.zeros((1, 1, 1, 1), np.float32), requires_grad=True)
+        heads[name] = (w, b)
+
+    def term(summary, tap, pooled_mask):
+        if tap.name not in heads:
+            return None
+        w, b = heads[tap.name]
+        return bce_loss(sigmoid(conv2d(tap.activation, w, b)), pooled_mask)
+
+    params = {f"_deeps_{name}_{k}": p for name, wb in heads.items()
+              for k, p in zip("wb", wb)}
+    return term, params
+
+
+def _no_params(term):
+    """LossMode.build for a term that owns no parameters."""
+    return lambda model, seed: (term, {})
+
+
+@dataclass(frozen=True)
+class LossMode:
+    """One objective: L_seg + sum_l alpha_l * (term_l [+ fd_exch_l]).
+
+    build(model, seed) returns the per-tap term (see total_loss), or None to
+    train on L_seg alone, and the trainable parameters the term owns."""
+    build: Callable[[UNet, int], tuple[Optional[Callable], dict[str, Tensor]]]
+    exch: bool = False
+
+
+LOSS_TABLE = {
+    "seg_only": LossMode(_no_params(None)),
+    "seg+fd": LossMode(_no_params(fd_term)),
+    "seg+fd+exch": LossMode(_no_params(fd_term), exch=True),
+    "seg+con_stub": LossMode(_no_params(_con_stub_term)),
+    "seg+deeps_stub": LossMode(_deeps_stub),
+}
+LOSS_MODES = tuple(LOSS_TABLE)
 
 
 @dataclass
@@ -41,14 +107,6 @@ class TrainConfig:
             raise ContractError("lr must be > 0 and batch_size >= 1")
         if self.loss_mode not in LOSS_MODES:
             raise ContractError(f"unknown loss_mode {self.loss_mode!r}")
-
-    @property
-    def exch_enabled(self) -> bool:
-        return self.loss_mode == "seg+fd+exch"
-
-    @property
-    def fd_enabled(self) -> bool:
-        return self.loss_mode in ("seg+fd", "seg+fd+exch")
 
 
 class TrainingAborted(RuntimeError):
@@ -77,7 +135,6 @@ class MetricsRecord:
     dice: float
     iou: float
     fd_last_decoder: float
-    checkpoint_step: int = 0
 
 
 @dataclass
@@ -118,51 +175,23 @@ class _SGD:
             p.grad = None
 
 
-def _con_stub_loss(taps, pooled_masks, temperature: float = 0.1):
-    """Contrastive comparison stub: push pooled fg/bg mean vectors apart by
-    penalizing their cosine similarity under a temperature softmax."""
-    from .tensor import exp, log, sqrt, square
-    per_tap = []
-    for tap, pm in zip(taps, pooled_masks):
-        s = feature_summary(tap.activation, pm)
-        f, b = s.fg_mean, s.bg_mean
-        nf = sqrt(tsum(square(f)) + 1e-8)
-        nb = sqrt(tsum(square(b)) + 1e-8)
-        cos = tsum(f * b) / (nf * nb)
-        pos = exp(Tensor(np.full((1, 1, 1, 1), 1.0 / temperature, f.dtype)))
-        neg = exp(cos * (1.0 / temperature))
-        per_tap.append(-log(pos / (pos + neg)))
-    return per_tap
-
-
-def _deeps_stub_loss(taps, pooled_masks, heads: dict[str, tuple[Tensor, Tensor]]):
-    """Deep-supervision stub: BCE on a 1x1-conv head at each decoder tap."""
-    from .tensor import conv2d
-    per_tap = []
-    for tap, pm in zip(taps, pooled_masks):
-        if not tap.name.startswith("dec_"):
-            per_tap.append(None)
-            continue
-        w, b = heads[tap.name]
-        pred = sigmoid(conv2d(tap.activation, w, b))
-        per_tap.append(bce_loss(pred, pm))
-    return per_tap
-
-
-def _init_deeps_heads(model: UNet, seed: int) -> dict[str, tuple[Tensor, Tensor]]:
-    rng = np.random.default_rng([seed, 77])
-    heads = {}
-    for name in model.config.tap_names():
-        if not name.startswith("dec_"):
-            continue
-        level = int(name.split("_")[1])
-        cin = model.config.base_channels * 2 ** (model.config.depth - level)
-        s = math.sqrt(6.0 / (cin + 1))
-        w = Tensor(rng.uniform(-s, s, (1, 1, cin, 1)).astype(np.float32),
-                   requires_grad=True)
-        b = Tensor(np.zeros((1, 1, 1, 1), np.float32), requires_grad=True)
-        heads[name] = (w, b)
-    return heads
+def _sgd_step(model: UNet, opt: _SGD, batch: Sequence[SiteSample],
+              state: AlphaState, term: Optional[Callable], exch: bool,
+              exch_seed: int) -> LossBreakdown:
+    """One forward, backward and update. The returned breakdown holds floats
+    only, so the step's graph is freed when this returns."""
+    images, masks, sources = _batch_arrays(batch)
+    pred, taps = model.forward(images)
+    aux_taps = taps if term is not None else []
+    pooled = [pool_mask(masks, tap.downsample_factor) for tap in aux_taps]
+    bd = total_loss(pred, masks, aux_taps, pooled, state, exch_enabled=exch,
+                    source_tags=sources, exch_seed=exch_seed, term=term)
+    if not math.isfinite(bd.total):
+        raise TrainingAborted(f"first bad tap: {_first_nonfinite_tap(taps)}")
+    backward(bd.total_tensor)
+    opt.step()
+    bd.total_tensor = None
+    return bd
 
 
 def train(config: TrainConfig, model: UNet,
@@ -181,21 +210,13 @@ def train(config: TrainConfig, model: UNet,
             for i, s in enumerate(train_set)]
     val_set = datasets["val"]
 
-    tap_names = model.config.tap_names()
-    n_taps = len(tap_names)
-    state = AlphaState.fresh(n_taps, config.tau, config.eta_alpha, config.alpha_max)
-    opt = _SGD(model.params, config.lr, config.momentum)
+    mode = LOSS_TABLE[config.loss_mode]
+    term, extra_params = mode.build(model, config.seed)
+    opt = _SGD({**model.params, **extra_params}, config.lr, config.momentum)
+    state = AlphaState.fresh(len(model.config.tap_names()), config.tau,
+                             config.eta_alpha, config.alpha_max)
     data_rng = np.random.default_rng(config.seed)
     aux_seed = config.seed * 9973 + 11
-
-    deeps_heads = None
-    if config.loss_mode == "seg+deeps_stub":
-        deeps_heads = _init_deeps_heads(model, config.seed)
-        opt.params = dict(model.params)
-        for name, (w, b) in deeps_heads.items():
-            opt.params[f"_deeps_{name}_w"] = w
-            opt.params[f"_deeps_{name}_b"] = b
-        opt.velocity = {k: np.zeros_like(p.values) for k, p in opt.params.items()}
 
     history: list[EpochRecord] = []
     best_model = model.clone()
@@ -211,43 +232,13 @@ def train(config: TrainConfig, model: UNet,
         ep_rows: list[LossBreakdown] = []
         for start in range(0, len(train_set), config.batch_size):
             batch = [train_set[i] for i in order[start:start + config.batch_size]]
-            images, masks, sources = _batch_arrays(batch)
-            pred, taps = model.forward(images)
-            pooled = [pool_mask(masks, tap.downsample_factor) for tap in taps]
-
-            if config.loss_mode == "seg_only":
-                bd = total_loss(pred, masks, [], [], AlphaState.fresh(0),
-                                exch_enabled=False)
-            elif config.fd_enabled:
-                bd = total_loss(pred, masks, taps, pooled, state,
-                                exch_enabled=config.exch_enabled,
-                                source_tags=sources if config.exch_enabled else None,
-                                exch_seed=aux_seed + step)
-            else:
-                bd = total_loss(pred, masks, taps, pooled,
-                                AlphaState.fresh(n_taps), exch_enabled=False)
-                if config.loss_mode == "seg+con_stub":
-                    aux = _con_stub_loss(taps, pooled)
-                else:
-                    aux = _deeps_stub_loss(taps, pooled, deeps_heads)
-                vals = [0.0 if a is None else a.item() for a in aux]
-                bd.fd_per_tap = vals
-                t = bd.total_tensor
-                for i, a in enumerate(aux):
-                    if a is not None and state.alpha[i] != 0.0:
-                        t = t + float(state.alpha[i]) * a
-                bd.total_tensor = t
-                bd.total = t.item()
-
-            if not math.isfinite(bd.total):
-                raise TrainingAborted(
-                    f"non-finite loss at epoch {epoch}, first bad tap: "
-                    f"{_first_nonfinite_tap(taps)}", last_good=best_model)
-
-            backward(bd.total_tensor)
-            opt.step()
-
-            if config.loss_mode != "seg_only" and bd.fd_per_tap:
+            try:
+                bd = _sgd_step(model, opt, batch, state, term, mode.exch,
+                               aux_seed + step)
+            except TrainingAborted as exc:
+                raise TrainingAborted(f"non-finite loss at epoch {epoch}, {exc}",
+                                      last_good=best_model) from None
+            if bd.fd_per_tap:
                 state = alpha_update(state, np.asarray(bd.fd_per_tap),
                                      step=step, warmup_steps=warmup_steps)
             ep_rows.append(bd)
@@ -287,20 +278,18 @@ def evaluate(model: UNet, dataset: Sequence[SiteSample],
         chunk = dataset[start:start + batch_size]
         images, masks, _ = _batch_arrays(chunk)
         pred, taps = model.forward(images)
-        last_dec = taps[-1]
+        s = feature_summary(taps[-1].activation, masks)
+        fds = neg_log_sq_norm(s.per_sample_fg - s.per_sample_bg, axis=3).values
         hard = (pred.values > threshold).astype(np.float64)
         mv = masks.values.astype(np.float64)
-        for i, s in enumerate(chunk):
+        for i, sample in enumerate(chunk):
             inter = float((hard[i] * mv[i]).sum())
             a, b = float(hard[i].sum()), float(mv[i].sum())
             union = a + b - inter
             dice = 2.0 * inter / (a + b) if a + b > 0 else 1.0
             iou = inter / union if union > 0 else 1.0
-            feat_i = Tensor(last_dec.activation.values[i:i + 1])
-            mask_i = Tensor(masks.values[i:i + 1])
-            fd = fd_loss(feature_summary(feat_i, mask_i)).item()
-            records.append(MetricsRecord(sample_id=s.id, dice=dice, iou=iou,
-                                         fd_last_decoder=fd))
+            records.append(MetricsRecord(sample_id=sample.id, dice=dice, iou=iou,
+                                         fd_last_decoder=float(fds[i, 0, 0, 0])))
     return records
 
 
@@ -320,21 +309,6 @@ def partition_worst_off(records: Sequence[MetricsRecord],
                              [r.sample_id for r in best])
 
 
-def _student_t_cdf(t: float, dof: int) -> float:
-    """CDF of Student's t via adaptive quadrature of the density."""
-    c = math.gamma((dof + 1) / 2.0) / (math.sqrt(dof * math.pi)
-                                       * math.gamma(dof / 2.0))
-
-    def pdf(x):
-        return c * (1.0 + x * x / dof) ** (-(dof + 1) / 2.0)
-
-    if t >= 0:
-        tail, _ = integrate.quad(pdf, t, np.inf, epsabs=1e-12, epsrel=1e-12)
-        return 1.0 - tail
-    tail, _ = integrate.quad(pdf, -np.inf, t, epsabs=1e-12, epsrel=1e-12)
-    return tail
-
-
 def one_sample_t_test(baseline: float,
                       runs: Sequence[float]) -> tuple[float, float, bool]:
     """Two-sided one-sample t-test of runs against a fixed baseline.
@@ -352,7 +326,7 @@ def one_sample_t_test(baseline: float,
         shifted = runs[0] != baseline
         return (math.inf if shifted else 0.0, 0.0 if shifted else 1.0, True)
     t = (mean - baseline) / math.sqrt(var / n)
-    p = 2.0 * (1.0 - _student_t_cdf(abs(t), n - 1))
+    p = 2.0 * float(special.stdtr(n - 1, -abs(t)))
     return t, p, False
 
 

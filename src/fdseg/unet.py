@@ -57,9 +57,6 @@ class UNet:
     def param_count(self) -> int:
         return sum(int(np.prod(p.shape)) for p in self.params.values())
 
-    def parameters(self) -> dict[str, Tensor]:
-        return self.params
-
     def clone(self) -> "UNet":
         return UNet(self.config, {k: Tensor(v.values.copy(), requires_grad=True)
                                   for k, v in self.params.items()})

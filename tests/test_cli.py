@@ -80,6 +80,28 @@ def test_train_rerun_reproduces_csv_bytes(tmp_path):
             assert a.read() == b.read(), name
 
 
+def test_train_rerun_from_manifest_reproduces_csv_bytes(tmp_path):
+    out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
+    assert main(["train", "--out", out1, "--loss", "seg+fd", "--seed", "3"]
+                + FAST_TRAIN) == 0
+    assert main(["train", "--config", os.path.join(out1, "manifest.json"),
+                 "--out", out2]) == 0
+    for name in ("manifest.json", "history.csv", "evaluation.csv"):
+        with open(os.path.join(out1, name), "rb") as a, \
+                open(os.path.join(out2, name), "rb") as b:
+            assert a.read() == b.read(), name
+
+
+def test_config_unknown_key_exits_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"seed": 1, "sed": 3}))
+    out = str(tmp_path / "run")
+    assert main(["train", "--config", str(cfg_path), "--out", out]
+                + FAST_TRAIN) == 2
+    assert "sed" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "manifest.json"))
+
+
 def test_gen_data_writes_site(tmp_path):
     out = str(tmp_path / "data")
     assert main(["gen-data", "--out", out, "--site", "base", "--n-samples",

@@ -2,12 +2,15 @@
 the significance test, and CSV emission."""
 import csv
 import math
+import weakref
 
 import numpy as np
 import pytest
 import scipy.stats
 
+import fdseg.trainer
 from fdseg.data import SiteConfig, generate_site, split_dataset
+from fdseg.losses import fd_loss, feature_summary
 from fdseg.tensor import ContractError, Tensor
 from fdseg.trainer import (LOSS_MODES, MetricsRecord, TrainConfig, evaluate,
                            one_sample_t_test, partition_worst_off, train,
@@ -56,6 +59,29 @@ def test_all_loss_modes_run_one_step():
         best, hist = train(cfg, tiny_model(), data)
         assert len(hist) == 2
         assert all(math.isfinite(h.total) for h in hist)
+
+
+def test_step_graph_freed_before_next_step(monkeypatch):
+    """A step's loss tensor, and with it the step's graph, must be gone by the
+    time the next step builds its objective."""
+    real = fdseg.trainer.total_loss
+    refs, alive = [], []
+
+    def spy(*args, **kwargs):
+        alive.append(sum(r() is not None for r in refs))
+        bd = real(*args, **kwargs)
+        refs.append(weakref.ref(bd.total_tensor))
+        return bd
+
+    monkeypatch.setattr(fdseg.trainer, "total_loss", spy)
+    data = tiny_datasets()
+    for mode in LOSS_MODES:
+        refs.clear()
+        alive.clear()
+        train(quick_config(phase1_epochs=1, phase2_epochs=1, loss_mode=mode),
+              tiny_model(), data)
+        assert len(alive) > 2, mode
+        assert alive == [0] * len(alive), mode
 
 
 # -- determinism and warm-start equivalence --------------------------------------------
@@ -196,6 +222,24 @@ def test_evaluate_matches_confusion_matrix_oracle():
         assert r.dice == pytest.approx(dice, abs=1e-9)
         assert r.iou == pytest.approx(iou, abs=1e-9)
         assert r.iou <= r.dice + 1e-12
+
+
+def test_evaluate_fd_matches_per_sample_reference():
+    """Batched fd_last_decoder equals fd_loss on each sample's own summary."""
+    samples = generate_site(SITE, 20, seed=41)
+    for seed in (0, 1, 2):
+        model = tiny_model(seed=seed)
+        recs = evaluate(model, samples)
+        ref = []
+        for start in range(0, len(samples), 16):
+            chunk = samples[start:start + 16]
+            _, taps = model.forward(Tensor(np.stack([s.image for s in chunk])))
+            x = taps[-1].activation.values
+            m = np.stack([s.mask for s in chunk])
+            ref += [fd_loss(feature_summary(Tensor(x[i:i + 1]),
+                                            Tensor(m[i:i + 1]))).item()
+                    for i in range(len(chunk))]
+        assert [r.fd_last_decoder for r in recs] == ref
 
 
 def test_evaluate_rejects_empty_dataset():
