@@ -3,13 +3,17 @@
 Grammar: fdseg <train|gen-data|data-addition|noise-sweep|lemma-checks|report>
          [--config FILE] [--seed N --seeds a,b,c --out DIR --force ...]
 
-Every run writes a manifest.json with the fully resolved configuration so a
-rerun from the manifest reproduces identical CSV bytes.
+Each command's settings are one table mapping a key to its default. The table
+gives the flags (`--key-with-dashes`, typed like the default; a bool default
+is a switch), the keys and JSON types a --config file may hold, and the keys
+of the manifest. Every run writes a manifest.json with the fully resolved
+configuration so a rerun from the manifest reproduces identical CSV bytes.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -17,8 +21,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .data import (BASE_SITE, NOVEL_SITE, SiteConfig, generate_site, save_site,
-                   split_dataset)
+from .data import (BASE_SITE, DATA_SEED, NOVEL_SITE, SiteConfig, generate_site,
+                   save_site, split_dataset)
 from .sweeps import (NOISE_SWEEP_MODES, SWEEP_SEEDS, SweepSettings,
                      data_addition_sweep, noise_sweep, read_sweep_csv,
                      write_sweep_csv)
@@ -36,14 +40,52 @@ EXIT_CONFIG = 2
 EXIT_ABORT = 3
 
 
+_TC, _UC, _SS = TrainConfig(), UNetConfig(), SweepSettings()
+# Settings passed by name to TrainConfig / SweepSettings, whose defaults they keep.
+_TRAIN_FIELDS = ("seed", "phase1_epochs", "phase2_epochs", "batch_size", "lr",
+                 "noise_sigma")
+_SWEEP_FIELDS = ("n_base", "n_novel", "phase1_epochs", "phase2_epochs",
+                 "batch_size", "lr", "cap_novel_at_base")
+
+TRAIN_SETTINGS = {"site": "base", "loss": _TC.loss_mode, "n_samples": 40,
+                  "image_size": _UC.image_size[0], "depth": _UC.depth,
+                  "base_channels": _UC.base_channels,
+                  "no_augment": not _TC.augment_train,
+                  **{k: getattr(_TC, k) for k in _TRAIN_FIELDS}}
+GEN_DATA_SETTINGS = {"site": "base", "n_samples": 40, "seed": DATA_SEED,
+                     "image_size": BASE_SITE.image_size[0]}
+SWEEP_SETTINGS = {"seeds": ",".join(map(str, SWEEP_SEEDS)), "image_size": 32,
+                  "no_augment": not _SS.augment_train,
+                  **{k: getattr(_SS, k) for k in _SWEEP_FIELDS}}
+LEMMA_SETTINGS = {"seed": 0, "lemma1_samples": 100, "mediation_a": 1.0,
+                  "mediation_b": 1.0, "mediation_n": 100_000}
+CHOICES = {"site": ("base", "novel"), "loss": LOSS_MODES}
+_JSON_TYPES = {bool: "boolean", int: "integer", float: "number", str: "string"}
+
+
 def _site(name: str, image_size: tuple[int, int]) -> SiteConfig:
     proto = BASE_SITE if name == "base" else NOVEL_SITE
     return dataclasses.replace(proto, image_size=image_size)
 
 
-def _load_config_file(path: str | None, keys: list[str]) -> dict:
+def _typed(path: str, key: str, value, default):
+    """A config-file value, checked against its setting's default type and
+    choices; an integer is accepted for a float setting."""
+    kind, choices = type(default), CHOICES.get(key)
+    if kind is float and type(value) is int:
+        value = float(value)
+    if type(value) is not kind or (choices and value not in choices):
+        want = (f"one of {', '.join(choices)}" if choices
+                else f"a JSON {_JSON_TYPES[kind]}")
+        raise ContractError(f"{path}: config key {key} must be {want}, "
+                            f"got {value!r}")
+    return value
+
+
+def _load_config_file(path: str | None, settings: dict) -> dict:
     """Values from a JSON config file, or from the `config` object of a run's
-    manifest.json. A key the command does not know is an error."""
+    manifest.json. A key the command does not know, or a value whose type
+    differs from its setting's, is an error."""
     if not path:
         return {}
     with open(path, encoding="utf-8") as fh:
@@ -52,19 +94,18 @@ def _load_config_file(path: str | None, keys: list[str]) -> dict:
         raise ContractError(f"{path}: config must be a JSON object")
     if isinstance(cfg.get("config"), dict):
         cfg = cfg["config"]
-    unknown = sorted(set(cfg) - set(keys))
+    unknown = sorted(set(cfg) - set(settings))
     if unknown:
         raise ContractError(f"{path}: unknown config key(s) {', '.join(unknown)}")
-    return cfg
+    return {k: _typed(path, k, v, settings[k]) for k, v in cfg.items()}
 
 
-def _resolve(args: argparse.Namespace, keys: list[str],
-             defaults: dict) -> dict:
+def _resolve(args: argparse.Namespace, settings: dict) -> dict:
     """Defaults, overridden by config file values, overridden by CLI flags."""
-    out = dict(defaults)
-    out.update(_load_config_file(getattr(args, "config", None), keys))
-    for key in keys:
-        flag_val = getattr(args, key, None)
+    out = dict(settings)
+    out.update(_load_config_file(args.config, settings))
+    for key in settings:
+        flag_val = getattr(args, key)
         if flag_val is not None:
             out[key] = flag_val
     return out
@@ -88,144 +129,76 @@ def _parse_seeds(text: str) -> list[int]:
     return [int(s) for s in text.split(",") if s.strip() != ""]
 
 
-TRAIN_KEYS = ["site", "loss", "seed", "phase1_epochs", "phase2_epochs",
-              "batch_size", "lr", "n_samples", "image_size", "depth",
-              "base_channels", "noise_sigma", "no_augment"]
+def cmd_train(cfg: dict, out: str) -> int:
+    size = (cfg["image_size"], cfg["image_size"])
+    samples = generate_site(_site(cfg["site"], size), cfg["n_samples"],
+                            seed=DATA_SEED)
+    train_s, test_s, val_s = split_dataset(samples, seed=DATA_SEED)
 
-
-def cmd_train(args: argparse.Namespace) -> int:
-    tc, uc = TrainConfig(), UNetConfig()
-    resolved = _resolve(args, TRAIN_KEYS, {
-        "site": "base", "loss": tc.loss_mode, "seed": tc.seed,
-        "phase1_epochs": tc.phase1_epochs, "phase2_epochs": tc.phase2_epochs,
-        "batch_size": tc.batch_size, "lr": tc.lr, "n_samples": 40,
-        "image_size": uc.image_size[0], "depth": uc.depth,
-        "base_channels": uc.base_channels, "noise_sigma": tc.noise_sigma,
-        "no_augment": not tc.augment_train})
-
-    _prepare_out_dir(args.out, args.force)
-    _write_manifest(args.out, "train", resolved)
-
-    size = (resolved["image_size"], resolved["image_size"])
-    site = _site(resolved["site"], size)
-    samples = generate_site(site, resolved["n_samples"], seed=1234)
-    train_s, test_s, val_s = split_dataset(samples, seed=1234)
-
-    cfg = TrainConfig(phase1_epochs=resolved["phase1_epochs"],
-                      phase2_epochs=resolved["phase2_epochs"],
-                      batch_size=resolved["batch_size"], lr=resolved["lr"],
-                      seed=resolved["seed"], loss_mode=resolved["loss"],
-                      augment_train=not resolved["no_augment"],
-                      noise_sigma=resolved["noise_sigma"])
-    model = init_params(UNetConfig(depth=resolved["depth"],
-                                   base_channels=resolved["base_channels"],
-                                   image_size=size), seed=resolved["seed"])
+    tc = TrainConfig(loss_mode=cfg["loss"], augment_train=not cfg["no_augment"],
+                     **{k: cfg[k] for k in _TRAIN_FIELDS})
+    model = init_params(UNetConfig(depth=cfg["depth"],
+                                   base_channels=cfg["base_channels"],
+                                   image_size=size), seed=cfg["seed"])
     try:
-        best, history = train(cfg, model,
+        best, history = train(tc, model,
                               {"train": train_s, "val": val_s, "test": test_s})
     except TrainingAborted as exc:
         if exc.last_good is not None:
-            save_checkpoint(exc.last_good, os.path.join(args.out, "last_good.ckpt"))
+            save_checkpoint(exc.last_good, os.path.join(out, "last_good.ckpt"))
         print(f"training aborted: {exc}", file=sys.stderr)
         return EXIT_ABORT
 
-    save_checkpoint(best, os.path.join(args.out, "model.ckpt"))
-    write_history_csv(os.path.join(args.out, "history.csv"), history,
+    save_checkpoint(best, os.path.join(out, "model.ckpt"))
+    write_history_csv(os.path.join(out, "history.csv"), history,
                       model.config.tap_names())
     records = evaluate(best, test_s)
-    write_eval_csv(os.path.join(args.out, "evaluation.csv"), records)
+    write_eval_csv(os.path.join(out, "evaluation.csv"), records)
     print(f"test dice (mean): {np.mean([r.dice for r in records]):.4f}")
     return EXIT_OK
 
 
-def cmd_gen_data(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, ["site", "n_samples", "seed", "image_size"],
-                        {"site": "base", "n_samples": 40, "seed": 1234,
-                         "image_size": BASE_SITE.image_size[0]})
-    _prepare_out_dir(args.out, args.force)
-    _write_manifest(args.out, "gen-data", resolved)
-    size = (resolved["image_size"], resolved["image_size"])
-    site = _site(resolved["site"], size)
-    samples = generate_site(site, resolved["n_samples"], resolved["seed"])
-    site_dir = save_site(samples, site, args.out)
+def cmd_gen_data(cfg: dict, out: str) -> int:
+    size = (cfg["image_size"], cfg["image_size"])
+    site = _site(cfg["site"], size)
+    samples = generate_site(site, cfg["n_samples"], cfg["seed"])
+    site_dir = save_site(samples, site, out)
     print(f"wrote {len(samples)} samples to {site_dir}")
     return EXIT_OK
 
 
-SWEEP_KEYS = ["seeds", "n_base", "n_novel", "phase1_epochs", "phase2_epochs",
-              "batch_size", "lr", "image_size", "loss_modes",
-              "cap_novel_at_base", "no_augment"]
+# command -> (sweep function, default loss modes, chart title, chart x label)
+SWEEPS = {
+    "data-addition": (data_addition_sweep, LOSS_MODES,
+                      "Base-test Dice vs novel-data fraction",
+                      "fraction of novel training data"),
+    "noise-sweep": (noise_sweep, NOISE_SWEEP_MODES,
+                    "Base-test Dice vs training noise sigma", "noise sigma"),
+}
 
 
-def _sweep_settings(resolved: dict) -> SweepSettings:
-    size = (resolved["image_size"], resolved["image_size"])
-    return SweepSettings(base_site=_site("base", size),
-                         novel_site=_site("novel", size),
-                         n_base=resolved["n_base"], n_novel=resolved["n_novel"],
-                         phase1_epochs=resolved["phase1_epochs"],
-                         phase2_epochs=resolved["phase2_epochs"],
-                         batch_size=resolved["batch_size"], lr=resolved["lr"],
-                         augment_train=not resolved["no_augment"],
-                         cap_novel_at_base=resolved.get("cap_novel_at_base", False))
-
-
-def _resolve_sweep(args: argparse.Namespace, loss_modes) -> dict:
-    ss = SweepSettings()
-    return _resolve(args, SWEEP_KEYS, {
-        "seeds": ",".join(map(str, SWEEP_SEEDS)), "n_base": ss.n_base,
-        "n_novel": ss.n_novel, "phase1_epochs": ss.phase1_epochs,
-        "phase2_epochs": ss.phase2_epochs, "batch_size": ss.batch_size,
-        "lr": ss.lr, "image_size": 32, "no_augment": not ss.augment_train,
-        "loss_modes": ",".join(loss_modes)})
-
-
-def cmd_data_addition(args: argparse.Namespace) -> int:
-    resolved = _resolve_sweep(args, LOSS_MODES)
-    _prepare_out_dir(args.out, args.force)
-    _write_manifest(args.out, "data-addition", resolved)
-    settings = _sweep_settings(resolved)
-    result = data_addition_sweep(settings,
-                                 loss_modes=resolved["loss_modes"].split(","),
-                                 seeds=_parse_seeds(resolved["seeds"]))
-    csv_path = os.path.join(args.out, "data_addition.csv")
-    write_sweep_csv(csv_path, result)
-    write_sweep_chart(result, os.path.join(args.out, "data_addition.svg"),
-                      title="Base-test Dice vs novel-data fraction",
-                      x_label="fraction of novel training data")
-    print(f"wrote {csv_path}")
+def cmd_sweep(name: str, cfg: dict, out: str) -> int:
+    run, _, title, x_label = SWEEPS[name]
+    size = (cfg["image_size"], cfg["image_size"])
+    settings = SweepSettings(base_site=_site("base", size),
+                             novel_site=_site("novel", size),
+                             augment_train=not cfg["no_augment"],
+                             **{k: cfg[k] for k in _SWEEP_FIELDS})
+    result = run(settings, loss_modes=cfg["loss_modes"].split(","),
+                 seeds=_parse_seeds(cfg["seeds"]))
+    stem = os.path.join(out, name.replace("-", "_"))
+    write_sweep_csv(stem + ".csv", result)
+    write_sweep_chart(result, stem + ".svg", title=title, x_label=x_label)
+    print(f"wrote {stem}.csv")
     return EXIT_OK
 
 
-def cmd_noise_sweep(args: argparse.Namespace) -> int:
-    resolved = _resolve_sweep(args, NOISE_SWEEP_MODES)
-    _prepare_out_dir(args.out, args.force)
-    _write_manifest(args.out, "noise-sweep", resolved)
-    settings = _sweep_settings(resolved)
-    result = noise_sweep(settings, loss_modes=resolved["loss_modes"].split(","),
-                         seeds=_parse_seeds(resolved["seeds"]))
-    csv_path = os.path.join(args.out, "noise_sweep.csv")
-    write_sweep_csv(csv_path, result)
-    write_sweep_chart(result, os.path.join(args.out, "noise_sweep.svg"),
-                      title="Base-test Dice vs training noise sigma",
-                      x_label="noise sigma")
-    print(f"wrote {csv_path}")
-    return EXIT_OK
-
-
-def cmd_lemma_checks(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, ["seed", "lemma1_samples", "mediation_a",
-                               "mediation_b", "mediation_n"],
-                        {"seed": 0, "lemma1_samples": 100, "mediation_a": 1.0,
-                         "mediation_b": 1.0, "mediation_n": 100_000})
-    _prepare_out_dir(args.out, args.force)
-    _write_manifest(args.out, "lemma-checks", resolved)
-
-    rng = np.random.default_rng(resolved["seed"])
+def cmd_lemma_checks(cfg: dict, out: str) -> int:
+    rng = np.random.default_rng(cfg["seed"])
     reports = []
     failed = False
 
-    lemma1 = lemma1_violation_rate(resolved["lemma1_samples"],
-                                   seed=resolved["seed"])
+    lemma1 = lemma1_violation_rate(cfg["lemma1_samples"], seed=cfg["seed"])
     lemma1["holds"] = True  # reporting-only check
     reports.append(lemma1)
 
@@ -253,18 +226,18 @@ def cmd_lemma_checks(args: argparse.Namespace) -> int:
                                "diverged": wn.diverged},
                     "holds": ok_wn})
 
-    a, b = resolved["mediation_a"], resolved["mediation_b"]
-    slope, var = mediation_mc(a, b, resolved["mediation_n"], resolved["seed"])
-    tol_slope = 3.0 / np.sqrt(resolved["mediation_n"]) * 10
+    a, b = cfg["mediation_a"], cfg["mediation_b"]
+    slope, var = mediation_mc(a, b, cfg["mediation_n"], cfg["seed"])
+    tol_slope = 3.0 / np.sqrt(cfg["mediation_n"]) * 10
     ok_med = (abs(slope - a * b) < max(0.03, tol_slope)
               and abs(var - (1 + b * b)) < 0.05 * max(1.0, 1 + b * b))
     failed |= not ok_med
     reports.append({"check": "mediation",
-                    "params": {"a": a, "b": b, "n": resolved["mediation_n"]},
+                    "params": {"a": a, "b": b, "n": cfg["mediation_n"]},
                     "result": {"slope_hat": slope, "var_hat": var},
                     "holds": ok_med})
 
-    with open(os.path.join(args.out, "lemma_reports.json"), "w",
+    with open(os.path.join(out, "lemma_reports.json"), "w",
               encoding="utf-8") as fh:
         json.dump(reports, fh, indent=2, sort_keys=True)
     for rep in reports:
@@ -284,74 +257,48 @@ def cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# command -> (function of the resolved settings and the output dir,
+#             settings table, help)
+COMMANDS = {
+    "train": (cmd_train, TRAIN_SETTINGS, "train one model on one synthetic site"),
+    "gen-data": (cmd_gen_data, GEN_DATA_SETTINGS,
+                 "write a synthetic site as PGM files"),
+    **{name: (functools.partial(cmd_sweep, name),
+              {**SWEEP_SETTINGS, "loss_modes": ",".join(modes)}, None)
+       for name, (_, modes, _, _) in SWEEPS.items()},
+    "lemma-checks": (cmd_lemma_checks, LEMMA_SETTINGS, "run the theory checks"),
+}
+
+
+def _run(args: argparse.Namespace) -> int:
+    fn, settings, _ = COMMANDS[args.command]
+    cfg = _resolve(args, settings)
+    _prepare_out_dir(args.out, args.force)
+    _write_manifest(args.out, args.command, cfg)
+    return fn(cfg, args.out)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fdseg")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    for name, (_, settings, help_text) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--force", action="store_true",
                        help="overwrite an existing run directory")
-
-    p = sub.add_parser("train", help="train one model on one synthetic site")
-    common(p)
-    p.add_argument("--site", choices=["base", "novel"])
-    p.add_argument("--loss", choices=LOSS_MODES)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--phase1-epochs", dest="phase1_epochs", type=int)
-    p.add_argument("--phase2-epochs", dest="phase2_epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--n-samples", dest="n_samples", type=int)
-    p.add_argument("--image-size", dest="image_size", type=int)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--base-channels", dest="base_channels", type=int)
-    p.add_argument("--noise-sigma", dest="noise_sigma", type=float)
-    p.add_argument("--no-augment", dest="no_augment", action="store_true",
-                   default=None)
-    p.set_defaults(fn=cmd_train)
-
-    p = sub.add_parser("gen-data", help="write a synthetic site as PGM files")
-    common(p)
-    p.add_argument("--site", choices=["base", "novel"])
-    p.add_argument("--n-samples", dest="n_samples", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--image-size", dest="image_size", type=int)
-    p.set_defaults(fn=cmd_gen_data)
-
-    for name, fn in (("data-addition", cmd_data_addition),
-                     ("noise-sweep", cmd_noise_sweep)):
-        p = sub.add_parser(name)
-        common(p)
-        p.add_argument("--seeds", help="comma-separated seed list")
-        p.add_argument("--loss-modes", dest="loss_modes")
-        p.add_argument("--n-base", dest="n_base", type=int)
-        p.add_argument("--n-novel", dest="n_novel", type=int)
-        p.add_argument("--phase1-epochs", dest="phase1_epochs", type=int)
-        p.add_argument("--phase2-epochs", dest="phase2_epochs", type=int)
-        p.add_argument("--batch-size", dest="batch_size", type=int)
-        p.add_argument("--lr", type=float)
-        p.add_argument("--image-size", dest="image_size", type=int)
-        p.add_argument("--cap-novel-at-base", dest="cap_novel_at_base",
-                       action="store_true", default=None)
-        p.add_argument("--no-augment", dest="no_augment", action="store_true",
-                       default=None)
-        p.set_defaults(fn=fn)
-
-    p = sub.add_parser("lemma-checks", help="run the theory checks")
-    common(p)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--lemma1-samples", dest="lemma1_samples", type=int)
-    p.add_argument("--mediation-a", dest="mediation_a", type=float)
-    p.add_argument("--mediation-b", dest="mediation_b", type=float)
-    p.add_argument("--mediation-n", dest="mediation_n", type=int)
-    p.set_defaults(fn=cmd_lemma_checks)
+        for key, default in settings.items():
+            flag = "--" + key.replace("_", "-")
+            if isinstance(default, bool):
+                p.add_argument(flag, action="store_true", default=None)
+            else:
+                p.add_argument(flag, type=type(default), choices=CHOICES.get(key),
+                               help=f"default: {default}")
+        p.set_defaults(run=_run)
 
     p = sub.add_parser("report", help="re-plot sweep CSVs as SVG charts")
     p.add_argument("csv", nargs="+", help="sweep CSV files")
-    p.set_defaults(fn=cmd_report)
-
+    p.set_defaults(run=cmd_report)
     return parser
 
 
@@ -359,7 +306,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        return args.run(args)
     except (ContractError, DimensionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -42,6 +42,9 @@ BASE_SITE = SiteConfig("base", fg_intensity_mean=0.75, bg_intensity_mean=0.35,
 NOVEL_SITE = SiteConfig("novel", fg_intensity_mean=0.55, bg_intensity_mean=0.30,
                         texture_sigma=0.12, blur_radius=1)
 
+# Seed of the generated sites that single runs and sweeps train and test on.
+DATA_SEED = 1234
+
 
 @dataclass
 class SiteSample:

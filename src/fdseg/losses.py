@@ -8,7 +8,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .tensor import (Tensor, ContractError, DimensionError, clamp, index_batch,
-                     log, maxpool2d, square, tsum)
+                     log, square, tsum)
 from .unet import FeatureTap
 
 DICE_EPS = 1e-6
@@ -53,12 +53,14 @@ def pool_mask(mask: Tensor, factor: int) -> Tensor:
     """Downsample a binary mask so an output pixel is 1 iff any covered pixel is 1."""
     if factor < 1 or factor & (factor - 1):
         raise DimensionError(f"factor must be a power of two, got {factor}")
-    out = mask
-    f = factor
-    while f > 1:
-        out = maxpool2d(out, 2)
-        f //= 2
-    return out.detach() if out is not mask else mask
+    if factor == 1:
+        return mask
+    n, h, w, c = mask.shape
+    if h % factor or w % factor:
+        raise DimensionError(f"mask {h}x{w} not divisible by factor {factor}",
+                             axis="spatial")
+    blocks = mask.values.reshape(n, h // factor, factor, w // factor, factor, c)
+    return Tensor(blocks.max(axis=(2, 4)))
 
 
 @dataclass

@@ -10,7 +10,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import BASE_SITE, NOVEL_SITE, SiteConfig, generate_site, split_dataset
+from .data import (BASE_SITE, DATA_SEED, NOVEL_SITE, SiteConfig, generate_site,
+                   split_dataset)
 from .trainer import LOSS_MODES, TrainConfig, TrainingAborted, evaluate, train
 from .unet import UNetConfig, init_params
 
@@ -35,7 +36,7 @@ class SweepSettings:
     base_channels: int = 8
     augment_train: bool = True
     cap_novel_at_base: bool = False
-    data_seed: int = 1234
+    data_seed: int = DATA_SEED
 
 
 @dataclass

@@ -107,33 +107,36 @@ def _glorot(rng: np.random.Generator, kh: int, kw: int, cin: int, cout: int) -> 
     return rng.uniform(-s, s, size=(kh, kw, cin, cout)).astype(np.float32)
 
 
+def _conv_layers(config: UNetConfig) -> list[tuple[str, int, int, int, int]]:
+    """(name, kh, kw, cin, cout) of every conv, in declaration order."""
+    layers = []
+    cin = config.in_channels
+    for l in range(1, config.depth + 1):
+        cout = config.base_channels * 2 ** (l - 1)
+        layers += [(f"enc{l}_conv1", 3, 3, cin, cout),
+                   (f"enc{l}_conv2", 3, 3, cout, cout)]
+        cin = cout
+    cbot = config.base_channels * 2 ** config.depth
+    layers += [("bot_conv1", 3, 3, cin, cbot), ("bot_conv2", 3, 3, cbot, cbot)]
+    cin = cbot
+    for l in range(1, config.depth + 1):
+        cskip = config.base_channels * 2 ** (config.depth - l)
+        layers += [(f"dec{l}_up", 1, 1, cin, cskip),
+                   (f"dec{l}_conv1", 3, 3, 2 * cskip, cskip),
+                   (f"dec{l}_conv2", 3, 3, cskip, cskip)]
+        cin = cskip
+    layers.append(("head", 1, 1, cin, 1))
+    return layers
+
+
 def init_params(config: UNetConfig, seed: int) -> UNet:
     """Uniform fan-based kernels, zero biases, drawn in declaration order."""
     rng = np.random.default_rng(seed)
     params: dict[str, Tensor] = {}
-
-    def conv(name: str, kh: int, kw: int, cin: int, cout: int) -> None:
+    for name, kh, kw, cin, cout in _conv_layers(config):
         params[f"{name}_w"] = Tensor(_glorot(rng, kh, kw, cin, cout), requires_grad=True)
         params[f"{name}_b"] = Tensor(np.zeros((1, 1, 1, cout), np.float32),
                                      requires_grad=True)
-
-    cin = config.in_channels
-    for l in range(1, config.depth + 1):
-        cout = config.base_channels * 2 ** (l - 1)
-        conv(f"enc{l}_conv1", 3, 3, cin, cout)
-        conv(f"enc{l}_conv2", 3, 3, cout, cout)
-        cin = cout
-    cbot = config.base_channels * 2 ** config.depth
-    conv("bot_conv1", 3, 3, cin, cbot)
-    conv("bot_conv2", 3, 3, cbot, cbot)
-    cin = cbot
-    for l in range(1, config.depth + 1):
-        cskip = config.base_channels * 2 ** (config.depth - l)
-        conv(f"dec{l}_up", 1, 1, cin, cskip)
-        conv(f"dec{l}_conv1", 3, 3, 2 * cskip, cskip)
-        conv(f"dec{l}_conv2", 3, 3, cskip, cskip)
-        cin = cskip
-    conv("head", 1, 1, cin, 1)
     return UNet(config, params)
 
 
@@ -159,24 +162,46 @@ def save_checkpoint(model: UNet, path: str) -> None:
             fh.write(t.values.astype("<f4").tobytes())
 
 
+def _read(fh, n: int, path: str, what: str) -> bytes:
+    data = fh.read(n)
+    if len(data) != n:
+        raise ContractError(f"{path}: checkpoint truncated in {what} "
+                            f"({len(data)} of {n} bytes)")
+    return data
+
+
+def _read_json(fh, path: str, what: str) -> dict:
+    (n,) = struct.unpack("<I", _read(fh, 4, path, what))
+    try:
+        return json.loads(_read(fh, n, path, what).decode("utf-8"))
+    except ValueError as exc:  # bad UTF-8 or JSON
+        raise ContractError(f"{path}: corrupt checkpoint {what}: {exc}") from None
+
+
 def load_checkpoint(path: str) -> UNet:
+    """Read a checkpoint written by save_checkpoint. Every tensor must have the
+    name and shape its config implies, in declaration order, and nothing may
+    follow the last one."""
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != CHECKPOINT_MAGIC:
             raise ContractError(f"bad checkpoint magic {magic!r}")
-        (clen,) = struct.unpack("<I", fh.read(4))
-        cfg = json.loads(fh.read(clen).decode("utf-8"))
+        cfg = _read_json(fh, path, "config")
         config = UNetConfig(depth=cfg["depth"], base_channels=cfg["base_channels"],
                             in_channels=cfg["in_channels"],
                             image_size=tuple(cfg["image_size"]))
-        model = init_params(config, seed=0)
-        for name in model.params:
-            (hlen,) = struct.unpack("<I", fh.read(4))
-            header = json.loads(fh.read(hlen).decode("utf-8"))
-            if header["name"] != name:
-                raise ValueError(f"checkpoint order mismatch: {header['name']} != {name}")
-            shape = tuple(header["shape"])
-            count = int(np.prod(shape))
-            data = np.frombuffer(fh.read(count * 4), dtype="<f4").reshape(shape)
-            model.params[name] = Tensor(data.astype(np.float32), requires_grad=True)
-        return model
+        params: dict[str, Tensor] = {}
+        for layer, kh, kw, cin, cout in _conv_layers(config):
+            for name, shape in ((f"{layer}_w", (kh, kw, cin, cout)),
+                                (f"{layer}_b", (1, 1, 1, cout))):
+                header = _read_json(fh, path, f"header of {name}")
+                found = [header.get("name"), header.get("shape")]
+                if found != [name, list(shape)]:
+                    raise ContractError(f"{path}: expected {name} {list(shape)}, "
+                                        f"found {found[0]} {found[1]}")
+                data = _read(fh, 4 * int(np.prod(shape)), path, f"payload of {name}")
+                values = np.frombuffer(data, dtype="<f4").reshape(shape)
+                params[name] = Tensor(values.astype(np.float32), requires_grad=True)
+        if fh.read(1):
+            raise ContractError(f"{path}: trailing bytes after the last tensor")
+    return UNet(config, params)

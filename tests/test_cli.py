@@ -2,6 +2,7 @@
 artifact schemas, and byte-level reproducibility of reports."""
 import json
 import os
+import re
 
 import pytest
 
@@ -100,6 +101,44 @@ def test_config_unknown_key_exits_config_error(tmp_path, capsys):
                 + FAST_TRAIN) == 2
     assert "sed" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "manifest.json"))
+
+
+FAST_CONFIG = {"loss": "seg_only", "image_size": 16, "n_samples": 12,
+               "phase1_epochs": 1, "phase2_epochs": 1, "batch_size": 4,
+               "no_augment": True, "base_channels": 4}
+
+
+@pytest.mark.parametrize("entry", [{"seed": "3"}, {"no_augment": "false"},
+                                   {"image_size": "16"}, {"loss": "bogus"}],
+                         ids=lambda entry: next(iter(entry)))
+def test_config_value_of_wrong_type_exits_config_error(tmp_path, capsys, entry):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**FAST_CONFIG, **entry}))
+    out = str(tmp_path / "run")
+    assert main(["train", "--config", str(cfg_path), "--out", out]) == 2
+    (key,) = entry
+    assert f"config key {key} " in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "manifest.json"))
+
+
+FAST_ARGS = {"train": FAST_TRAIN,
+             "gen-data": ["--n-samples", "3", "--image-size", "16"],
+             "data-addition": FAST_SWEEP + ["--loss-modes", "seg_only"],
+             "noise-sweep": FAST_SWEEP + ["--loss-modes", "seg_only"],
+             "lemma-checks": []}
+
+
+@pytest.mark.parametrize("command", list(FAST_ARGS))
+def test_manifest_config_keys_are_the_command_flags(tmp_path, capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    flags = (set(re.findall(r"--([a-z0-9-]+)", capsys.readouterr().out))
+             - {"help", "config", "out", "force"})
+    out = str(tmp_path / "run")
+    assert main([command, "--out", out] + FAST_ARGS[command]) == 0
+    with open(os.path.join(out, "manifest.json")) as fh:
+        config = json.load(fh)["config"]
+    assert {key.replace("_", "-") for key in config} == flags
 
 
 def test_gen_data_writes_site(tmp_path):

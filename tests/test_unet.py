@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from fdseg.tensor import DimensionError, Tensor
+from fdseg.tensor import ContractError, DimensionError, Tensor
 from fdseg.unet import (UNet, UNetConfig, init_params, load_checkpoint,
                         save_checkpoint)
 
@@ -157,6 +157,40 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
     with open(path, "wb") as fh:
         fh.write(b"NOTACKPT" + b"\x00" * 16)
     with pytest.raises(Exception):
+        load_checkpoint(path)
+
+
+def _renamed(params):
+    return {("enc1_conv1_v" if k == "enc1_conv1_w" else k): v
+            for k, v in params.items()}
+
+
+def _reshaped(params):
+    # same element count as the (3,3,1,8) kernel, so the payload length matches
+    return {k: (Tensor(np.zeros((3, 3, 8, 1), np.float32))
+                if k == "enc1_conv1_w" else v) for k, v in params.items()}
+
+
+@pytest.mark.parametrize("edit_params,edit_bytes,match", [
+    (_renamed, None, "enc1_conv1_v"),
+    (_reshaped, None, r"enc1_conv1_w \[3, 3, 8, 1\]"),
+    (None, lambda b: b[:-4], "truncated in payload of head_b"),
+    (None, lambda b: b + b"\x00", "trailing bytes"),
+], ids=["renamed", "reshaped", "truncated", "trailing"])
+def test_checkpoint_rejects_corrupt_file(tmp_path, edit_params, edit_bytes,
+                                         match):
+    model = init_params(UNetConfig(depth=1, base_channels=8,
+                                   image_size=(16, 16)), seed=3)
+    if edit_params:
+        model = UNet(model.config, edit_params(model.params))
+    path = os.path.join(tmp_path, "m.ckpt")
+    save_checkpoint(model, path)
+    if edit_bytes:
+        with open(path, "rb") as fh:
+            blob = edit_bytes(fh.read())
+        with open(path, "wb") as fh:
+            fh.write(blob)
+    with pytest.raises(ContractError, match=match):
         load_checkpoint(path)
 
 
