@@ -17,6 +17,7 @@ import functools
 import json
 import os
 import sys
+from typing import Callable
 
 import numpy as np
 
@@ -24,8 +25,8 @@ from . import __version__
 from .data import (BASE_SITE, DATA_SEED, NOVEL_SITE, SiteConfig, generate_site,
                    save_site, split_dataset)
 from .sweeps import (NOISE_SWEEP_MODES, SWEEP_SEEDS, SweepSettings,
-                     data_addition_sweep, noise_sweep, read_sweep_csv,
-                     write_sweep_csv)
+                     check_settings, data_addition_sweep, noise_sweep,
+                     read_sweep_csv, write_sweep_csv)
 from .report import write_sweep_chart
 from .tensor import ContractError, DimensionError
 from .theory import (lemma1_violation_rate, lemma2_gradient, mediation_mc,
@@ -129,42 +130,52 @@ def _parse_seeds(text: str) -> list[int]:
     return [int(s) for s in text.split(",") if s.strip() != ""]
 
 
-def cmd_train(cfg: dict, out: str) -> int:
-    size = (cfg["image_size"], cfg["image_size"])
-    samples = generate_site(_site(cfg["site"], size), cfg["n_samples"],
-                            seed=DATA_SEED)
-    train_s, test_s, val_s = split_dataset(samples, seed=DATA_SEED)
-
-    tc = TrainConfig(loss_mode=cfg["loss"], augment_train=not cfg["no_augment"],
-                     **{k: cfg[k] for k in _TRAIN_FIELDS})
-    model = init_params(UNetConfig(depth=cfg["depth"],
-                                   base_channels=cfg["base_channels"],
-                                   image_size=size), seed=cfg["seed"])
-    try:
-        best, history = train(tc, model,
-                              {"train": train_s, "val": val_s, "test": test_s})
-    except TrainingAborted as exc:
-        if exc.last_good is not None:
-            save_checkpoint(exc.last_good, os.path.join(out, "last_good.ckpt"))
-        print(f"training aborted: {exc}", file=sys.stderr)
-        return EXIT_ABORT
-
-    save_checkpoint(best, os.path.join(out, "model.ckpt"))
-    write_history_csv(os.path.join(out, "history.csv"), history,
-                      model.config.tap_names())
-    records = evaluate(best, test_s)
-    write_eval_csv(os.path.join(out, "evaluation.csv"), records)
-    print(f"test dice (mean): {np.mean([r.dice for r in records]):.4f}")
-    return EXIT_OK
+Job = Callable[[str], int]   # runs a checked command in its output dir
 
 
-def cmd_gen_data(cfg: dict, out: str) -> int:
+def cmd_train(cfg: dict) -> Job:
     size = (cfg["image_size"], cfg["image_size"])
     site = _site(cfg["site"], size)
-    samples = generate_site(site, cfg["n_samples"], cfg["seed"])
-    site_dir = save_site(samples, site, out)
-    print(f"wrote {len(samples)} samples to {site_dir}")
-    return EXIT_OK
+    tc = TrainConfig(loss_mode=cfg["loss"], augment_train=not cfg["no_augment"],
+                     **{k: cfg[k] for k in _TRAIN_FIELDS})
+    uc = UNetConfig(depth=cfg["depth"], base_channels=cfg["base_channels"],
+                    image_size=size)
+    split_dataset(range(cfg["n_samples"]))  # partition sizes only; no site drawn
+
+    def job(out: str) -> int:
+        samples = generate_site(site, cfg["n_samples"], seed=DATA_SEED)
+        train_s, test_s, val_s = split_dataset(samples, seed=DATA_SEED)
+        model = init_params(uc, seed=cfg["seed"])
+        try:
+            best, history = train(tc, model,
+                                  {"train": train_s, "val": val_s, "test": test_s})
+        except TrainingAborted as exc:
+            if exc.last_good is not None:
+                save_checkpoint(exc.last_good,
+                                os.path.join(out, "last_good.ckpt"))
+            print(f"training aborted: {exc}", file=sys.stderr)
+            return EXIT_ABORT
+
+        save_checkpoint(best, os.path.join(out, "model.ckpt"))
+        write_history_csv(os.path.join(out, "history.csv"), history,
+                          model.config.tap_names())
+        records = evaluate(best, test_s)
+        write_eval_csv(os.path.join(out, "evaluation.csv"), records)
+        print(f"test dice (mean): {np.mean([r.dice for r in records]):.4f}")
+        return EXIT_OK
+    return job
+
+
+def cmd_gen_data(cfg: dict) -> Job:
+    size = (cfg["image_size"], cfg["image_size"])
+    site = _site(cfg["site"], size)
+
+    def job(out: str) -> int:
+        samples = generate_site(site, cfg["n_samples"], cfg["seed"])
+        site_dir = save_site(samples, site, out)
+        print(f"wrote {len(samples)} samples to {site_dir}")
+        return EXIT_OK
+    return job
 
 
 # command -> (sweep function, default loss modes, chart title, chart x label)
@@ -177,23 +188,31 @@ SWEEPS = {
 }
 
 
-def cmd_sweep(name: str, cfg: dict, out: str) -> int:
-    run, _, title, x_label = SWEEPS[name]
+def cmd_sweep(name: str, cfg: dict) -> Job:
+    sweep, _, title, x_label = SWEEPS[name]
     size = (cfg["image_size"], cfg["image_size"])
     settings = SweepSettings(base_site=_site("base", size),
                              novel_site=_site("novel", size),
                              augment_train=not cfg["no_augment"],
                              **{k: cfg[k] for k in _SWEEP_FIELDS})
-    result = run(settings, loss_modes=cfg["loss_modes"].split(","),
-                 seeds=_parse_seeds(cfg["seeds"]))
-    stem = os.path.join(out, name.replace("-", "_"))
-    write_sweep_csv(stem + ".csv", result)
-    write_sweep_chart(result, stem + ".svg", title=title, x_label=x_label)
-    print(f"wrote {stem}.csv")
-    return EXIT_OK
+    loss_modes, seeds = cfg["loss_modes"].split(","), _parse_seeds(cfg["seeds"])
+    check_settings(settings, loss_modes)
+
+    def job(out: str) -> int:
+        result = sweep(settings, loss_modes=loss_modes, seeds=seeds)
+        stem = os.path.join(out, name.replace("-", "_"))
+        write_sweep_csv(stem + ".csv", result)
+        write_sweep_chart(result, stem + ".svg", title=title, x_label=x_label)
+        print(f"wrote {stem}.csv")
+        return EXIT_OK
+    return job
 
 
-def cmd_lemma_checks(cfg: dict, out: str) -> int:
+def cmd_lemma_checks(cfg: dict) -> Job:
+    return functools.partial(_lemma_checks, cfg)
+
+
+def _lemma_checks(cfg: dict, out: str) -> int:
     rng = np.random.default_rng(cfg["seed"])
     reports = []
     failed = False
@@ -257,8 +276,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# command -> (function of the resolved settings and the output dir,
-#             settings table, help)
+# command -> (function that checks the resolved settings, building every
+#             config they give, and returns the job; settings table; help)
 COMMANDS = {
     "train": (cmd_train, TRAIN_SETTINGS, "train one model on one synthetic site"),
     "gen-data": (cmd_gen_data, GEN_DATA_SETTINGS,
@@ -271,11 +290,12 @@ COMMANDS = {
 
 
 def _run(args: argparse.Namespace) -> int:
-    fn, settings, _ = COMMANDS[args.command]
+    check, settings, _ = COMMANDS[args.command]
     cfg = _resolve(args, settings)
+    job = check(cfg)            # a bad setting fails here, before the manifest
     _prepare_out_dir(args.out, args.force)
     _write_manifest(args.out, args.command, cfg)
-    return fn(cfg, args.out)
+    return job(args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -145,21 +146,31 @@ def init_params(config: UNetConfig, seed: int) -> UNet:
 # JSON header, then little-endian float32 payload, in declaration order.
 
 def save_checkpoint(model: UNet, path: str) -> None:
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        cfg = {"depth": model.config.depth,
-               "base_channels": model.config.base_channels,
-               "in_channels": model.config.in_channels,
-               "image_size": list(model.config.image_size)}
-        blob = json.dumps(cfg, sort_keys=True).encode("utf-8")
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for name, t in model.params.items():
-            header = json.dumps({"name": name, "shape": list(t.shape)},
-                                sort_keys=True).encode("utf-8")
-            fh.write(struct.pack("<I", len(header)))
-            fh.write(header)
-            fh.write(t.values.astype("<f4").tobytes())
+    """Write to a temporary file beside `path`, then rename it over `path`, so
+    a write that fails or is cut short leaves any earlier checkpoint whole."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            cfg = {"depth": model.config.depth,
+                   "base_channels": model.config.base_channels,
+                   "in_channels": model.config.in_channels,
+                   "image_size": list(model.config.image_size)}
+            blob = json.dumps(cfg, sort_keys=True).encode("utf-8")
+            fh.write(struct.pack("<I", len(blob)))
+            fh.write(blob)
+            for name, t in model.params.items():
+                header = json.dumps({"name": name, "shape": list(t.shape)},
+                                    sort_keys=True).encode("utf-8")
+                fh.write(struct.pack("<I", len(header)))
+                fh.write(header)
+                fh.write(t.values.astype("<f4").tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _read(fh, n: int, path: str, what: str) -> bytes:

@@ -121,6 +121,19 @@ def test_config_value_of_wrong_type_exits_config_error(tmp_path, capsys, entry):
     assert not os.path.exists(os.path.join(out, "manifest.json"))
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--image-size", "15"],
+    ["train", "--phase1-epochs", "0"],
+    ["train", "--n-samples", "2"],
+    ["noise-sweep", "--loss-modes", "bogus"],
+    ["data-addition", "--n-base", "2"],
+], ids=["image_size", "phase1_epochs", "n_samples", "loss_modes", "n_base"])
+def test_bad_setting_exits_before_manifest(tmp_path, argv):
+    out = str(tmp_path / "run")
+    assert main(argv + ["--out", out]) == 2
+    assert not os.path.exists(os.path.join(out, "manifest.json"))
+
+
 FAST_ARGS = {"train": FAST_TRAIN,
              "gen-data": ["--n-samples", "3", "--image-size", "16"],
              "data-addition": FAST_SWEEP + ["--loss-modes", "seg_only"],

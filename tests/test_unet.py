@@ -194,6 +194,30 @@ def test_checkpoint_rejects_corrupt_file(tmp_path, edit_params, edit_bytes,
         load_checkpoint(path)
 
 
+class _PayloadFails:
+    shape = (1, 1, 1, 8)
+
+    @property
+    def values(self):
+        raise OSError("disk full")
+
+
+def test_failed_checkpoint_write_keeps_earlier_file(tmp_path):
+    model = init_params(UNetConfig(depth=1, base_channels=8,
+                                   image_size=(16, 16)), seed=3)
+    path = os.path.join(tmp_path, "m.ckpt")
+    save_checkpoint(model, path)
+    with open(path, "rb") as fh:
+        before = fh.read()
+    broken = init_params(model.config, seed=4)
+    broken.params["head_b"] = _PayloadFails()   # the last tensor written
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(broken, path)
+    with open(path, "rb") as fh:
+        assert fh.read() == before
+    assert os.listdir(tmp_path) == ["m.ckpt"]
+
+
 def test_clone_is_independent():
     cfg = UNetConfig(depth=1, base_channels=4, image_size=(16, 16))
     model = init_params(cfg, seed=12)
