@@ -24,9 +24,10 @@ import numpy as np
 from . import __version__
 from .data import (BASE_SITE, DATA_SEED, NOVEL_SITE, SiteConfig, generate_site,
                    save_site, split_dataset)
-from .sweeps import (NOISE_SWEEP_MODES, SWEEP_SEEDS, SweepSettings,
+from .sweeps import (DATA_ADDITION_FRACTIONS, NOISE_SWEEP_GRID,
+                     NOISE_SWEEP_MODES, SWEEP_SEEDS, SweepSettings,
                      check_settings, data_addition_sweep, noise_sweep,
-                     read_sweep_csv, write_sweep_csv)
+                     pool_runtime, read_sweep_csv, write_sweep_csv)
 from .report import write_sweep_chart
 from .tensor import ContractError, DimensionError
 from .theory import (lemma1_violation_rate, lemma2_gradient, mediation_mc,
@@ -120,8 +121,13 @@ def _prepare_out_dir(out: str, force: bool) -> None:
     os.makedirs(out, exist_ok=True)
 
 
-def _write_manifest(out: str, command: str, resolved: dict) -> None:
+def _write_manifest(out: str, command: str, resolved: dict,
+                    runtime: dict | None) -> None:
+    """`config` is what a rerun reads back; `runtime`, when given, records how
+    the run was executed and is never read back."""
     payload = {"command": command, "version": __version__, "config": resolved}
+    if runtime is not None:
+        payload["runtime"] = runtime
     with open(os.path.join(out, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
 
@@ -131,9 +137,10 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 Job = Callable[[str], int]   # runs a checked command in its output dir
+Checked = tuple[Job, dict | None]   # the job, and its manifest runtime record
 
 
-def cmd_train(cfg: dict) -> Job:
+def cmd_train(cfg: dict) -> Checked:
     size = (cfg["image_size"], cfg["image_size"])
     site = _site(cfg["site"], size)
     tc = TrainConfig(loss_mode=cfg["loss"], augment_train=not cfg["no_augment"],
@@ -163,10 +170,10 @@ def cmd_train(cfg: dict) -> Job:
         write_eval_csv(os.path.join(out, "evaluation.csv"), records)
         print(f"test dice (mean): {np.mean([r.dice for r in records]):.4f}")
         return EXIT_OK
-    return job
+    return job, None
 
 
-def cmd_gen_data(cfg: dict) -> Job:
+def cmd_gen_data(cfg: dict) -> Checked:
     size = (cfg["image_size"], cfg["image_size"])
     site = _site(cfg["site"], size)
 
@@ -175,21 +182,22 @@ def cmd_gen_data(cfg: dict) -> Job:
         site_dir = save_site(samples, site, out)
         print(f"wrote {len(samples)} samples to {site_dir}")
         return EXIT_OK
-    return job
+    return job, None
 
 
-# command -> (sweep function, default loss modes, chart title, chart x label)
+# command -> (sweep function, condition grid, default loss modes, chart title,
+#             chart x label)
 SWEEPS = {
-    "data-addition": (data_addition_sweep, LOSS_MODES,
+    "data-addition": (data_addition_sweep, DATA_ADDITION_FRACTIONS, LOSS_MODES,
                       "Base-test Dice vs novel-data fraction",
                       "fraction of novel training data"),
-    "noise-sweep": (noise_sweep, NOISE_SWEEP_MODES,
+    "noise-sweep": (noise_sweep, NOISE_SWEEP_GRID, NOISE_SWEEP_MODES,
                     "Base-test Dice vs training noise sigma", "noise sigma"),
 }
 
 
-def cmd_sweep(name: str, cfg: dict) -> Job:
-    sweep, _, title, x_label = SWEEPS[name]
+def cmd_sweep(name: str, cfg: dict) -> Checked:
+    sweep, grid, _, title, x_label = SWEEPS[name]
     size = (cfg["image_size"], cfg["image_size"])
     settings = SweepSettings(base_site=_site("base", size),
                              novel_site=_site("novel", size),
@@ -199,17 +207,17 @@ def cmd_sweep(name: str, cfg: dict) -> Job:
     check_settings(settings, loss_modes)
 
     def job(out: str) -> int:
-        result = sweep(settings, loss_modes=loss_modes, seeds=seeds)
+        result = sweep(settings, grid, loss_modes=loss_modes, seeds=seeds)
         stem = os.path.join(out, name.replace("-", "_"))
         write_sweep_csv(stem + ".csv", result)
         write_sweep_chart(result, stem + ".svg", title=title, x_label=x_label)
         print(f"wrote {stem}.csv")
         return EXIT_OK
-    return job
+    return job, pool_runtime(len(grid) * len(loss_modes) * len(seeds))
 
 
-def cmd_lemma_checks(cfg: dict) -> Job:
-    return functools.partial(_lemma_checks, cfg)
+def cmd_lemma_checks(cfg: dict) -> Checked:
+    return functools.partial(_lemma_checks, cfg), None
 
 
 def _lemma_checks(cfg: dict, out: str) -> int:
@@ -277,14 +285,15 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 # command -> (function that checks the resolved settings, building every
-#             config they give, and returns the job; settings table; help)
+#             config they give, and returns the job and its runtime record;
+#             settings table; help)
 COMMANDS = {
     "train": (cmd_train, TRAIN_SETTINGS, "train one model on one synthetic site"),
     "gen-data": (cmd_gen_data, GEN_DATA_SETTINGS,
                  "write a synthetic site as PGM files"),
     **{name: (functools.partial(cmd_sweep, name),
               {**SWEEP_SETTINGS, "loss_modes": ",".join(modes)}, None)
-       for name, (_, modes, _, _) in SWEEPS.items()},
+       for name, (_, _, modes, _, _) in SWEEPS.items()},
     "lemma-checks": (cmd_lemma_checks, LEMMA_SETTINGS, "run the theory checks"),
 }
 
@@ -292,9 +301,9 @@ COMMANDS = {
 def _run(args: argparse.Namespace) -> int:
     check, settings, _ = COMMANDS[args.command]
     cfg = _resolve(args, settings)
-    job = check(cfg)            # a bad setting fails here, before the manifest
+    job, runtime = check(cfg)   # a bad setting fails here, before the manifest
     _prepare_out_dir(args.out, args.force)
-    _write_manifest(args.out, args.command, cfg)
+    _write_manifest(args.out, args.command, cfg, runtime)
     return job(args.out)
 
 

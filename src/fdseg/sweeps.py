@@ -199,6 +199,15 @@ def _one_blas_thread() -> None:
         fn(1)
 
 
+def pool_runtime(n_cells: int) -> dict:
+    """How `_run_cells` runs n_cells: the pool width, and the OpenBLAS threads
+    of each pool worker (None when the cells run in the calling process, which
+    keeps its own count, or when the bundled library is missing)."""
+    width = _pool_width(n_cells)
+    pinned = width > 1 and _openblas("set_num_threads") is not None
+    return {"pool_width": width, "worker_blas_threads": 1 if pinned else None}
+
+
 def _run_cells(fn, cells: list[tuple]) -> list[SweepRow]:
     width = _pool_width(len(cells))
     if width == 1:

@@ -37,14 +37,13 @@ class NonFiniteError(RuntimeError):
 
 
 class Tape:
-    """Ordered record of ops created while active, plus the run's RNG seed."""
+    """Ordered record of ops created while active, plus the run's seed."""
 
     _active: Optional["Tape"] = None
 
     def __init__(self, seed: int = 0):
         self.seed = seed
         self.nodes: list[tuple[str, tuple[int, ...], int]] = []
-        self.rng = np.random.default_rng(seed)
 
     def __enter__(self) -> "Tape":
         Tape._active = self
@@ -207,7 +206,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    out = a.values / b.values
+    # a zero divisor gives inf/NaN, which _assert_finite and the trainer report
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = a.values / b.values
     return Tensor(out, parents=(a, b), op="div",
                   grad_fn=lambda g: (_unbroadcast(g / b.values, a.shape),
                                      _unbroadcast(-g * a.values / (b.values ** 2), b.shape)))
@@ -323,15 +324,15 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         raise DimensionError(
             f"bias must have shape (1,1,1,{cout}), got {bias.shape}", axis="channels")
     ph, pw = kh // 2, kw // 2
-    xp = np.zeros((n, h + 2 * ph, w + 2 * pw, cin), dtype=x.dtype)
-    xp[:, ph:ph + h, pw:pw + w, :] = x.values
-    # patch matrix (n*h*w, kh*kw*cin) built by strided slice copies, row-major
-    # matching the (kh,kw,cin,cout) kernel layout
-    cols = np.empty((n, h, w, kh, kw, cin), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, :, i, j, :] = xp[:, i:i + h, j:j + w, :]
-    cols2d = cols.reshape(n * h * w, kh * kw * cin)
+    if kh == kw == 1:
+        cols2d = x.values.reshape(n * h * w, cin)
+    else:
+        xp = np.zeros((n, h + 2 * ph, w + 2 * pw, cin), dtype=x.dtype)
+        xp[:, ph:ph + h, pw:pw + w, :] = x.values
+        # patch matrix (n*h*w, kh*kw*cin): one copy of the (n,h,w,cin,kh,kw)
+        # window view, reordered to match the (kh,kw,cin,cout) kernel layout
+        win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+        cols2d = win.transpose(0, 1, 2, 4, 5, 3).reshape(n * h * w, kh * kw * cin)
     kmat = kernel.values.reshape(kh * kw * cin, cout)
     out = (cols2d @ kmat).reshape(n, h, w, cout) + bias.values
 
@@ -339,11 +340,14 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         g2d = g.reshape(n * h * w, cout)
         db = g.sum(axis=(0, 1, 2)).reshape(1, 1, 1, cout)
         dk = (cols2d.T @ g2d).reshape(kh, kw, cin, cout)
-        dcols = (g2d @ kmat.T).reshape(n, h, w, kh, kw, cin)
-        dxp = np.zeros_like(xp)
+        if not x.requires_grad:
+            return None, dk, db
+        # one GEMM over cout per kernel offset, scattered in (i, j) order
+        dxp = np.zeros((n, h + 2 * ph, w + 2 * pw, cin), dtype=x.dtype)
         for i in range(kh):
             for j in range(kw):
-                dxp[:, i:i + h, j:j + w, :] += dcols[:, :, :, i, j, :]
+                dxp[:, i:i + h, j:j + w, :] += (
+                    g2d @ kernel.values[i, j].T).reshape(n, h, w, cin)
         dx = dxp[:, ph:ph + h, pw:pw + w, :]
         return dx, dk, db
 
@@ -400,7 +404,8 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-3) -> f
     """
     base = x.values.astype(np.float64)
     x64 = Tensor(base.copy(), requires_grad=True)
-    out = f(x64)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out = f(x64)   # a non-finite node raises NonFiniteError below
     if out.shape != (1, 1, 1, 1):
         raise ContractError("grad_check target must produce a scalar")
     _assert_finite(out)

@@ -175,11 +175,13 @@ class _SGD:
             p.grad = None
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _sgd_step(model: UNet, opt: _SGD, batch: Sequence[SiteSample],
               state: AlphaState, term: Optional[Callable], exch: bool,
               exch_seed: int) -> LossBreakdown:
     """One forward, backward and update. The returned breakdown holds floats
-    only, so the step's graph is freed when this returns."""
+    only, so the step's graph is freed when this returns. Overflow on the way
+    to a non-finite loss raises TrainingAborted, not a RuntimeWarning."""
     images, masks, sources = _batch_arrays(batch)
     pred, taps = model.forward(images)
     aux_taps = taps if term is not None else []

@@ -201,6 +201,23 @@ def test_noise_sweep_grid(tmp_path):
     assert conditions == [0.0, 0.05, 0.10, 0.15, 0.20]
 
 
+def test_sweep_manifest_records_pool_and_reruns(tmp_path, monkeypatch):
+    monkeypatch.setenv("FDSEG_WORKERS", "1")
+    out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
+    assert main(["noise-sweep", "--out", out1,
+                 "--loss-modes", "seg_only"] + FAST_SWEEP) == 0
+    manifest = os.path.join(out1, "manifest.json")
+    with open(manifest) as fh:
+        runtime = json.load(fh)["runtime"]
+    # cells run in this process, which keeps its own BLAS thread count
+    assert runtime == {"pool_width": 1, "worker_blas_threads": None}
+    assert main(["noise-sweep", "--config", manifest, "--out", out2]) == 0
+    for name in ("manifest.json", "noise_sweep.csv"):
+        with open(os.path.join(out1, name), "rb") as a, \
+                open(os.path.join(out2, name), "rb") as b:
+            assert a.read() == b.read(), name
+
+
 def test_lemma_checks_pass_and_report(tmp_path):
     out = str(tmp_path / "lemmas")
     assert main(["lemma-checks", "--out", out]) == 0

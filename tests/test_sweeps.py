@@ -10,7 +10,7 @@ import pytest
 import fdseg.sweeps
 from fdseg.data import BASE_SITE, NOVEL_SITE
 from fdseg.sweeps import (SweepSettings, _openblas, _run_cells,
-                          data_addition_sweep, noise_sweep,
+                          data_addition_sweep, noise_sweep, pool_runtime,
                           run_data_addition_cell, write_sweep_csv)
 from fdseg.tensor import ContractError
 from fdseg.trainer import TrainingAborted
@@ -92,6 +92,15 @@ def test_pool_workers_run_one_blas_thread(monkeypatch):
     before = _blas_threads()
     assert _run_cells(_blas_threads, [(), ()]) == [1, 1]
     assert _blas_threads() == before             # the caller is left alone
+
+
+@pytest.mark.parametrize("workers,cells,width", [("1", 5, 1), ("2", 5, 2),
+                                                 ("4", 1, 1)])
+def test_pool_runtime_describes_the_pool(monkeypatch, workers, cells, width):
+    monkeypatch.setenv("FDSEG_WORKERS", workers)
+    pinned = width > 1 and _openblas("set_num_threads") is not None
+    assert pool_runtime(cells) == {"pool_width": width,
+                                   "worker_blas_threads": 1 if pinned else None}
 
 
 def test_pool_and_serial_sweeps_write_identical_rows(monkeypatch, tmp_path):

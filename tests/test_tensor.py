@@ -10,6 +10,7 @@ from fdseg.tensor import (ContractError, DimensionError, NonFiniteError, Tape,
                           Tensor, backward, clamp, concat_channels, conv2d,
                           exp, grad_check, index_batch, log, maxpool2d, relu,
                           sigmoid, sqrt, square, tsum, tmean, upsample_nearest)
+from fdseg.unet import UNetConfig, _conv_layers
 
 
 def rand(shape, seed=0, lo=-1.0, hi=1.0):
@@ -100,6 +101,100 @@ def test_conv2d_grad_check_all_inputs():
     err_b = grad_check(lambda t: tsum(square(conv2d(
         Tensor(xv), Tensor(kv), t))), Tensor(bv))
     assert err_x < 1e-3 and err_k < 1e-3 and err_b < 1e-3
+
+
+def im2col_conv_reference(x, k, b, g):
+    """The im2col conv2d that the strided-view forward and the per-offset
+    `dx` replaced: a 9-slice patch copy, one GEMM for the output and one for
+    the patch gradient, then a 9-slice scatter. Returns (out, dx, dk, db)
+    for the upstream gradient g."""
+    kh, kw, cin, cout = k.shape
+    n, h, w, _ = x.shape
+    ph, pw = kh // 2, kw // 2
+    xp = np.zeros((n, h + 2 * ph, w + 2 * pw, cin), dtype=x.dtype)
+    xp[:, ph:ph + h, pw:pw + w, :] = x
+    cols = np.empty((n, h, w, kh, kw, cin), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, :, i, j, :] = xp[:, i:i + h, j:j + w, :]
+    cols2d = cols.reshape(n * h * w, kh * kw * cin)
+    kmat = k.reshape(kh * kw * cin, cout)
+    out = (cols2d @ kmat).reshape(n, h, w, cout) + b
+    g2d = g.reshape(n * h * w, cout)
+    db = g.sum(axis=(0, 1, 2)).reshape(1, 1, 1, cout)
+    dk = (cols2d.T @ g2d).reshape(kh, kw, cin, cout)
+    dcols = (g2d @ kmat.T).reshape(n, h, w, kh, kw, cin)
+    dxp = np.zeros_like(xp)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, i:i + h, j:j + w, :] += dcols[:, :, :, i, j, :]
+    return out, dxp[:, ph:ph + h, pw:pw + w, :], dk, db
+
+
+def unet_conv_cases():
+    """(size, batch, layer name, kh, kw, cin, cout, side) for every conv of the
+    default U-Net at 32x32/batch 8 and 64x64/batch 16; side is the spatial
+    size the layer sees."""
+    cases = []
+    for size, batch in ((32, 8), (64, 16)):
+        cfg = UNetConfig(image_size=(size, size))
+        for name, kh, kw, cin, cout in _conv_layers(cfg):
+            part, level = name[:3], int(name[3]) if name[3].isdigit() else 0
+            side = size >> {"enc": level - 1, "bot": cfg.depth,
+                            "dec": cfg.depth - level}.get(part, 0)
+            cases.append((size, batch, name, kh, kw, cin, cout, side))
+    return cases
+
+
+@pytest.mark.parametrize("size,batch,name,kh,kw,cin,cout,side", unet_conv_cases(),
+                         ids=lambda v: str(v))
+def test_conv2d_bytes_match_im2col_reference(size, batch, name, kh, kw, cin,
+                                             cout, side):
+    rng = np.random.default_rng(size + cin * 7 + cout)
+    xv = rng.uniform(-1, 1, size=(batch, side, side, cin)).astype(np.float32)
+    xv[xv < -0.4] = 0.0     # relu-style exact zeros
+    kv = rng.uniform(-0.3, 0.3, size=(kh, kw, cin, cout)).astype(np.float32)
+    bv = rng.uniform(-0.1, 0.1, size=(1, 1, 1, cout)).astype(np.float32)
+    gv = rng.uniform(-1, 1, size=(batch, side, side, cout)).astype(np.float32)
+    ref_out, ref_dx, ref_dk, ref_db = im2col_conv_reference(xv, kv, bv, gv)
+
+    out = conv2d(Tensor(xv, requires_grad=True), Tensor(kv, requires_grad=True),
+                 Tensor(bv, requires_grad=True))
+    dx, dk, db = out._grad_fn(gv)
+    assert out.values.tobytes() == ref_out.tobytes()
+    assert dk.tobytes() == ref_dk.tobytes()
+    assert db.tobytes() == ref_db.tobytes()
+    if cin >= 2:
+        assert dx.tobytes() == ref_dx.tobytes()
+    else:   # cin = 1 takes numpy's matrix-vector path; only the last bits move
+        np.testing.assert_allclose(dx, ref_dx, rtol=1e-5, atol=1e-6)
+
+
+@pytest.mark.parametrize("kshape", [(1, 1, 3, 2), (3, 3, 3, 2)])
+def test_conv2d_grad_check_batch_and_channels(kshape):
+    rng = np.random.default_rng(7)
+    xv = rng.uniform(-1, 1, size=(2, 4, 4, 3))
+    kv = rng.uniform(-1, 1, size=kshape)
+    bv = rng.uniform(-1, 1, size=(1, 1, 1, kshape[3]))
+
+    err_x = grad_check(lambda t: tsum(square(conv2d(
+        t, Tensor(kv), Tensor(bv)))), Tensor(xv))
+    err_k = grad_check(lambda t: tsum(square(conv2d(
+        Tensor(xv), t, Tensor(bv)))), Tensor(kv))
+    err_b = grad_check(lambda t: tsum(square(conv2d(
+        Tensor(xv), Tensor(kv), t))), Tensor(bv))
+    assert err_x < 1e-3 and err_k < 1e-3 and err_b < 1e-3
+
+
+def test_conv2d_skips_dx_for_constant_input():
+    x = rand((2, 4, 4, 1), seed=8)
+    x.requires_grad = False
+    k, b = rand((3, 3, 1, 2), seed=9), rand((1, 1, 1, 2), seed=10)
+    out = conv2d(x, k, b)
+    dx, dk, db = out._grad_fn(np.ones(out.shape, dtype=np.float32))
+    assert dx is None and dk.shape == k.shape and db.shape == b.shape
+    backward(tsum(out))
+    assert x.grad is None and k.grad is not None and b.grad is not None
 
 
 # -- maxpool2d -------------------------------------------------------------------
