@@ -204,7 +204,7 @@ def cmd_sweep(name: str, cfg: dict) -> Checked:
                              augment_train=not cfg["no_augment"],
                              **{k: cfg[k] for k in _SWEEP_FIELDS})
     loss_modes, seeds = cfg["loss_modes"].split(","), _parse_seeds(cfg["seeds"])
-    check_settings(settings, loss_modes)
+    check_settings(settings, loss_modes, seeds)
 
     def job(out: str) -> int:
         result = sweep(settings, grid, loss_modes=loss_modes, seeds=seeds)

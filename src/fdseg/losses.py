@@ -3,7 +3,7 @@ the cross-sample exchangeable variant, and the warm-started alpha schedule."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -112,12 +112,6 @@ def fd_loss(summary: MaskedFeatureSummary) -> Tensor:
     return neg_log_sq_norm(summary.fg_mean - summary.bg_mean)
 
 
-def fd_term(summary: MaskedFeatureSummary, tap: FeatureTap,
-            pooled_mask: Tensor) -> Tensor:
-    """The paper's per-tap term: fd_loss of the tap's summary."""
-    return fd_loss(summary)
-
-
 def fd_exch_loss(summary: MaskedFeatureSummary,
                  source_tags: Optional[Sequence[str]] = None,
                  shuffle_offset: Optional[int] = None,
@@ -201,7 +195,6 @@ class LossBreakdown:
     fd_per_tap: list[float] = field(default_factory=list)
     fd_exch_per_tap: Optional[list[float]] = None
     total: float = 0.0
-    warning: Optional[str] = None
     total_tensor: Optional[Tensor] = None
 
 
@@ -209,15 +202,11 @@ def total_loss(pred: Tensor, target: Tensor, taps: Sequence[FeatureTap],
                pooled_masks: Sequence[Tensor], state: AlphaState,
                exch_enabled: bool = False,
                source_tags: Optional[Sequence[str]] = None,
-               exch_seed: int = 0,
-               term: Callable[[MaskedFeatureSummary, FeatureTap, Tensor],
-                              Optional[Tensor]] = fd_term) -> LossBreakdown:
-    """Composite objective: L_seg + sum_l alpha_l * (term_l [+ fd_exch_l]).
+               exch_seed: int = 0) -> LossBreakdown:
+    """Composite objective: L_seg + sum_l alpha_l * (fd_l [+ fd_exch_l]).
 
-    term maps a tap's feature summary, the tap and its pooled mask to the tap's
-    auxiliary loss, or to None where the tap has none; its value is reported
-    in fd_per_tap (0.0 for None) and drives alpha_update. alpha values enter as
-    constants; they are updated by alpha_update, never by backward. During
+    fd_l is reported in fd_per_tap and drives alpha_update. alpha values enter
+    as constants; they are updated by alpha_update, never by backward. During
     warmup the returned total tensor IS the seg tensor, so the phase-1
     trajectory is bit-identical to a seg-only run.
     """
@@ -228,37 +217,31 @@ def total_loss(pred: Tensor, target: Tensor, taps: Sequence[FeatureTap],
 
     fd_vals: list[float] = []
     exch_vals: Optional[list[float]] = [] if exch_enabled else None
-    warning = None
     total_t = seg_t
+    # Report the scalar total in double precision so it satisfies the
+    # seg + sum(alpha * contributions) identity regardless of the float32
+    # rounding inside total_tensor.
+    total_val = seg_t.item()
     for i, (tap, pm) in enumerate(zip(taps, pooled_masks)):
         if pm.shape[1:3] != tap.activation.shape[1:3]:
             raise ContractError(
                 f"tap {tap.name}: pooled mask {pm.shape} vs activation "
                 f"{tap.activation.shape}")
         summary = feature_summary(tap.activation, pm)
-        contrib = term(summary, tap, pm)
-        fd_vals.append(0.0 if contrib is None else contrib.item())
-        a = float(state.alpha[i])
+        contrib_t = fd_loss(summary)
+        fd_vals.append(contrib_t.item())
+        contrib = fd_vals[-1]
         if exch_enabled:
-            ex_t, warn = fd_exch_loss(summary, source_tags=source_tags,
-                                      seed=exch_seed + i)
+            ex_t, _ = fd_exch_loss(summary, source_tags=source_tags,
+                                   seed=exch_seed + i)
             exch_vals.append(ex_t.item())
-            if warn and warning is None:
-                warning = warn
-            contrib = contrib + ex_t
-        if a != 0.0 and contrib is not None:
-            total_t = total_t + a * contrib
-
-    # Report the scalar total in double precision so it satisfies the
-    # seg + sum(alpha * contributions) identity regardless of the float32
-    # rounding inside total_tensor.
-    total_val = seg_t.item()
-    for i in range(len(fd_vals)):
+            contrib_t, contrib = contrib_t + ex_t, contrib + exch_vals[-1]
         a = float(state.alpha[i])
-        c = fd_vals[i] + (exch_vals[i] if exch_enabled else 0.0)
-        total_val += a * c
+        total_val += a * contrib
+        if a != 0.0:
+            total_t = total_t + a * contrib_t
 
     return LossBreakdown(
         seg=seg_t.item(), dice=dice_t.item(), bce=bce_t.item(),
         fd_per_tap=fd_vals, fd_exch_per_tap=exch_vals,
-        total=total_val, warning=warning, total_tensor=total_t)
+        total=total_val, total_tensor=total_t)

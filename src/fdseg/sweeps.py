@@ -92,12 +92,16 @@ def _unet_config(settings: SweepSettings) -> UNetConfig:
                       image_size=settings.base_site.image_size)
 
 
-def check_settings(settings: SweepSettings, loss_modes: Sequence[str]) -> None:
-    """Raise the ContractError or DimensionError that every cell would hit, so
+def check_settings(settings: SweepSettings, loss_modes: Sequence[str],
+                   seeds: Sequence[int]) -> None:
+    """Raise the ContractError or DimensionError that a cell would hit, so
     that bad settings fail the sweep before any cell runs."""
+    if not seeds:
+        raise ContractError("a sweep needs at least one seed")
     _unet_config(settings)
     for loss_mode in loss_modes:
-        _train_config(settings, 0, loss_mode)
+        for seed in seeds:
+            _train_config(settings, seed, loss_mode)
     for n in (settings.n_base, settings.n_novel):
         split_dataset(range(n))         # partition sizes only; no site drawn
 
@@ -221,7 +225,7 @@ def data_addition_sweep(settings: SweepSettings,
                         fractions: Sequence[float] = DATA_ADDITION_FRACTIONS,
                         loss_modes: Sequence[str] = LOSS_MODES,
                         seeds: Sequence[int] = SWEEP_SEEDS) -> SweepResult:
-    check_settings(settings, loss_modes)
+    check_settings(settings, loss_modes, seeds)
     cells = [(settings, f, s, m)
              for f in fractions for m in loss_modes for s in seeds]
     return SweepResult(rows=_run_cells(run_data_addition_cell, cells))
@@ -231,7 +235,7 @@ def noise_sweep(settings: SweepSettings,
                 sigmas: Sequence[float] = NOISE_SWEEP_GRID,
                 loss_modes: Sequence[str] = NOISE_SWEEP_MODES,
                 seeds: Sequence[int] = SWEEP_SEEDS) -> SweepResult:
-    check_settings(settings, loss_modes)
+    check_settings(settings, loss_modes, seeds)
     cells = [(settings, sg, s, m)
              for sg in sigmas for m in loss_modes for s in seeds]
     return SweepResult(rows=_run_cells(run_noise_cell, cells))

@@ -95,9 +95,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.values.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.values.copy(), requires_grad=False, op="detach")
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self.op}, grad={self.requires_grad})"
 
@@ -123,9 +120,6 @@ class Tensor:
 
     def __neg__(self):
         return neg(self)
-
-    def backward(self) -> None:
-        backward(self)
 
 
 def constant(value: float, dtype=np.float32) -> Tensor:

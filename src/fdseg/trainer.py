@@ -5,82 +5,25 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy import special
 
 from .data import SiteSample, add_gaussian_noise, augment
-from .losses import (AlphaState, LossBreakdown, alpha_update, bce_loss,
-                     fd_term, feature_summary, neg_log_sq_norm, pool_mask,
-                     total_loss)
+from .losses import (AlphaState, LossBreakdown, alpha_update, feature_summary,
+                     neg_log_sq_norm, pool_mask, total_loss)
 # perfbench/spans.py wraps fdseg.trainer.fd_loss, so the name stays importable.
 from .losses import fd_loss  # noqa: F401
-from .tensor import (Tensor, ContractError, backward, conv2d, exp, log,
-                     sigmoid, sqrt, square, tsum)
+from .tensor import Tensor, ContractError, backward
 from .unet import UNet
 
-
-def _con_stub_term(summary, tap, pooled_mask, temperature: float = 0.1):
-    """Contrastive comparison stub: push the pooled fg/bg mean vectors apart by
-    penalizing their cosine similarity under a temperature softmax."""
-    f, b = summary.fg_mean, summary.bg_mean
-    nf = sqrt(tsum(square(f)) + 1e-8)
-    nb = sqrt(tsum(square(b)) + 1e-8)
-    cos = tsum(f * b) / (nf * nb)
-    pos = exp(Tensor(np.full((1, 1, 1, 1), 1.0 / temperature, f.dtype)))
-    neg = exp(cos * (1.0 / temperature))
-    return -log(pos / (pos + neg))
-
-
-def _deeps_stub(model: UNet, seed: int):
-    """Deep-supervision stub: BCE of a 1x1-conv head at each decoder tap.
-    Returns the per-tap term and the heads' parameters."""
-    rng = np.random.default_rng([seed, 77])
-    heads = {}
-    for name in model.config.tap_names():
-        if not name.startswith("dec_"):
-            continue
-        level = int(name.split("_")[1])
-        cin = model.config.base_channels * 2 ** (model.config.depth - level)
-        s = math.sqrt(6.0 / (cin + 1))
-        w = Tensor(rng.uniform(-s, s, (1, 1, cin, 1)).astype(np.float32),
-                   requires_grad=True)
-        b = Tensor(np.zeros((1, 1, 1, 1), np.float32), requires_grad=True)
-        heads[name] = (w, b)
-
-    def term(summary, tap, pooled_mask):
-        if tap.name not in heads:
-            return None
-        w, b = heads[tap.name]
-        return bce_loss(sigmoid(conv2d(tap.activation, w, b)), pooled_mask)
-
-    params = {f"_deeps_{name}_{k}": p for name, wb in heads.items()
-              for k, p in zip("wb", wb)}
-    return term, params
-
-
-def _no_params(term):
-    """LossMode.build for a term that owns no parameters."""
-    return lambda model, seed: (term, {})
-
-
-@dataclass(frozen=True)
-class LossMode:
-    """One objective: L_seg + sum_l alpha_l * (term_l [+ fd_exch_l]).
-
-    build(model, seed) returns the per-tap term (see total_loss), or None to
-    train on L_seg alone, and the trainable parameters the term owns."""
-    build: Callable[[UNet, int], tuple[Optional[Callable], dict[str, Tensor]]]
-    exch: bool = False
-
-
+# loss mode -> (per-tap fd penalty on, fd_exch added to it): the objective
+# L_seg + sum_l alpha_l * (fd_l [+ fd_exch_l]) of losses.total_loss
 LOSS_TABLE = {
-    "seg_only": LossMode(_no_params(None)),
-    "seg+fd": LossMode(_no_params(fd_term)),
-    "seg+fd+exch": LossMode(_no_params(fd_term), exch=True),
-    "seg+con_stub": LossMode(_no_params(_con_stub_term)),
-    "seg+deeps_stub": LossMode(_deeps_stub),
+    "seg_only": (False, False),
+    "seg+fd": (True, False),
+    "seg+fd+exch": (True, True),
 }
 LOSS_MODES = tuple(LOSS_TABLE)
 
@@ -103,6 +46,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.phase1_epochs < 1:
             raise ContractError("phase1_epochs must be >= 1 (warm start is mandatory)")
+        for name in ("phase2_epochs", "noise_sigma", "seed"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ContractError(f"{name} must be >= 0, got {value}")
         if self.lr <= 0 or self.batch_size < 1:
             raise ContractError("lr must be > 0 and batch_size >= 1")
         if self.loss_mode not in LOSS_MODES:
@@ -177,17 +124,17 @@ class _SGD:
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _sgd_step(model: UNet, opt: _SGD, batch: Sequence[SiteSample],
-              state: AlphaState, term: Optional[Callable], exch: bool,
+              state: AlphaState, fd: bool, exch: bool,
               exch_seed: int) -> LossBreakdown:
     """One forward, backward and update. The returned breakdown holds floats
     only, so the step's graph is freed when this returns. Overflow on the way
     to a non-finite loss raises TrainingAborted, not a RuntimeWarning."""
     images, masks, sources = _batch_arrays(batch)
     pred, taps = model.forward(images)
-    aux_taps = taps if term is not None else []
+    aux_taps = taps if fd else []
     pooled = [pool_mask(masks, tap.downsample_factor) for tap in aux_taps]
     bd = total_loss(pred, masks, aux_taps, pooled, state, exch_enabled=exch,
-                    source_tags=sources, exch_seed=exch_seed, term=term)
+                    source_tags=sources, exch_seed=exch_seed)
     if not math.isfinite(bd.total):
         raise TrainingAborted(f"first bad tap: {_first_nonfinite_tap(taps)}")
     backward(bd.total_tensor)
@@ -212,9 +159,8 @@ def train(config: TrainConfig, model: UNet,
             for i, s in enumerate(train_set)]
     val_set = datasets["val"]
 
-    mode = LOSS_TABLE[config.loss_mode]
-    term, extra_params = mode.build(model, config.seed)
-    opt = _SGD({**model.params, **extra_params}, config.lr, config.momentum)
+    fd, exch = LOSS_TABLE[config.loss_mode]
+    opt = _SGD(model.params, config.lr, config.momentum)
     state = AlphaState.fresh(len(model.config.tap_names()), config.tau,
                              config.eta_alpha, config.alpha_max)
     data_rng = np.random.default_rng(config.seed)
@@ -235,7 +181,7 @@ def train(config: TrainConfig, model: UNet,
         for start in range(0, len(train_set), config.batch_size):
             batch = [train_set[i] for i in order[start:start + config.batch_size]]
             try:
-                bd = _sgd_step(model, opt, batch, state, term, mode.exch,
+                bd = _sgd_step(model, opt, batch, state, fd, exch,
                                aux_seed + step)
             except TrainingAborted as exc:
                 raise TrainingAborted(f"non-finite loss at epoch {epoch}, {exc}",

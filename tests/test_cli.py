@@ -134,6 +134,19 @@ def test_bad_setting_exits_before_manifest(tmp_path, argv):
     assert not os.path.exists(os.path.join(out, "manifest.json"))
 
 
+@pytest.mark.parametrize("argv", [
+    ["train"] + FAST_TRAIN + ["--phase2-epochs", "-1"],
+    ["train"] + FAST_TRAIN + ["--noise-sigma", "-0.5"],
+    ["train"] + FAST_TRAIN + ["--seed", "-1"],
+    ["noise-sweep", "--loss-modes", "seg_only"] + FAST_SWEEP + ["--seeds", "-1"],
+    ["noise-sweep", "--loss-modes", "seg_only"] + FAST_SWEEP + ["--seeds", ","],
+], ids=["phase2_epochs", "noise_sigma", "seed", "negative_seed", "no_seeds"])
+def test_negative_or_empty_setting_exits_before_manifest(tmp_path, argv):
+    out = str(tmp_path / "run")
+    assert main(argv + ["--out", out]) == 2
+    assert not os.path.exists(os.path.join(out, "manifest.json"))
+
+
 FAST_ARGS = {"train": FAST_TRAIN,
              "gen-data": ["--n-samples", "3", "--image-size", "16"],
              "data-addition": FAST_SWEEP + ["--loss-modes", "seg_only"],

@@ -52,6 +52,13 @@ def test_config_rejects_unknown_mode():
         TrainConfig(loss_mode="adversarial")
 
 
+@pytest.mark.parametrize("name,value", [("phase2_epochs", -1),
+                                        ("noise_sigma", -0.5), ("seed", -1)])
+def test_config_rejects_negative_setting(name, value):
+    with pytest.raises(ContractError, match=f"{name} must be >= 0, got {value}"):
+        TrainConfig(**{name: value})
+
+
 def test_all_loss_modes_run_one_step():
     data = tiny_datasets()
     for mode in LOSS_MODES:
@@ -346,6 +353,17 @@ def test_history_csv_fd_columns_present(tmp_path):
     for row in rows:
         if row["phase"] == "1":
             assert all(float(row[f"alpha_{t}"]) == 0.0 for t in taps)
+
+
+@pytest.mark.parametrize("mode,exch", [("seg+fd", False), ("seg+fd+exch", True)])
+def test_history_csv_columns_follow_loss_mode(tmp_path, mode, exch):
+    hist_path, _ = run_and_write(tmp_path, mode)
+    with open(hist_path) as fh:
+        header = fh.readline().strip().split(",")
+    taps = ["enc_1", "enc_2", "bottleneck", "dec_1", "dec_2"]
+    per_tap = ["fd_", "fd_exch_", "alpha_"] if exch else ["fd_", "alpha_"]
+    assert header == (["epoch", "phase", "total", "seg", "dice_loss", "bce"]
+                      + [p + t for p in per_tap for t in taps] + ["val_dice"])
 
 
 def test_eval_csv_schema(tmp_path):
