@@ -30,8 +30,8 @@ from .sweeps import (DATA_ADDITION_FRACTIONS, NOISE_SWEEP_GRID,
                      pool_runtime, read_sweep_csv, write_sweep_csv)
 from .report import write_sweep_chart
 from .tensor import ContractError, DimensionError
-from .theory import (lemma1_violation_rate, lemma2_gradient, mediation_mc,
-                     weight_norm_experiment)
+from .theory import (MEDIATION_MIN_SAMPLES, lemma1_violation_rate,
+                     lemma2_gradient, mediation_mc, weight_norm_experiment)
 from .trainer import (LOSS_MODES, TrainConfig, TrainingAborted, evaluate, train,
                       write_eval_csv, write_history_csv)
 from .unet import UNetConfig, init_params, save_checkpoint
@@ -56,7 +56,8 @@ TRAIN_SETTINGS = {"site": "base", "loss": _TC.loss_mode, "n_samples": 40,
                   **{k: getattr(_TC, k) for k in _TRAIN_FIELDS}}
 GEN_DATA_SETTINGS = {"site": "base", "n_samples": 40, "seed": DATA_SEED,
                      "image_size": BASE_SITE.image_size[0]}
-SWEEP_SETTINGS = {"seeds": ",".join(map(str, SWEEP_SEEDS)), "image_size": 32,
+SWEEP_SETTINGS = {"seeds": ",".join(map(str, SWEEP_SEEDS)),
+                  "image_size": _SS.base_site.image_size[0],
                   "no_augment": not _SS.augment_train,
                   **{k: getattr(_SS, k) for k in _SWEEP_FIELDS}}
 LEMMA_SETTINGS = {"seed": 0, "lemma1_samples": 100, "mediation_a": 1.0,
@@ -176,9 +177,9 @@ def cmd_train(cfg: dict) -> Checked:
 def cmd_gen_data(cfg: dict) -> Checked:
     size = (cfg["image_size"], cfg["image_size"])
     site = _site(cfg["site"], size)
+    samples = generate_site(site, cfg["n_samples"], cfg["seed"])
 
     def job(out: str) -> int:
-        samples = generate_site(site, cfg["n_samples"], cfg["seed"])
         site_dir = save_site(samples, site, out)
         print(f"wrote {len(samples)} samples to {site_dir}")
         return EXIT_OK
@@ -204,7 +205,7 @@ def cmd_sweep(name: str, cfg: dict) -> Checked:
                              augment_train=not cfg["no_augment"],
                              **{k: cfg[k] for k in _SWEEP_FIELDS})
     loss_modes, seeds = cfg["loss_modes"].split(","), _parse_seeds(cfg["seeds"])
-    check_settings(settings, loss_modes, seeds)
+    check_settings(settings, grid, loss_modes, seeds)
 
     def job(out: str) -> int:
         result = sweep(settings, grid, loss_modes=loss_modes, seeds=seeds)
@@ -217,6 +218,10 @@ def cmd_sweep(name: str, cfg: dict) -> Checked:
 
 
 def cmd_lemma_checks(cfg: dict) -> Checked:
+    for key, least in (("lemma1_samples", 1),
+                       ("mediation_n", MEDIATION_MIN_SAMPLES)):
+        if cfg[key] < least:
+            raise ContractError(f"{key} must be >= {least}, got {cfg[key]}")
     return functools.partial(_lemma_checks, cfg), None
 
 
@@ -244,7 +249,7 @@ def _lemma_checks(cfg: dict, out: str) -> int:
                                "scale_w_ratio_error": rep2.scale_w_ratio_error},
                     "holds": ok2})
 
-    wn = weight_norm_experiment(d=4, steps=500, lr=0.01, seeds=(0, 1, 2, 3, 4))
+    wn = weight_norm_experiment()
     ok_wn = all(nl < nlin for nl, nlin in zip(wn.norm_log, wn.norm_linear))
     failed |= not ok_wn
     reports.append({"check": "weight_norm", "params": {"d": 4, "steps": 500},
@@ -285,8 +290,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 # command -> (function that checks the resolved settings, building every
-#             config they give, and returns the job and its runtime record;
-#             settings table; help)
+#             config they give (gen-data draws its site here), and returns
+#             the job and its runtime record; settings table; help)
 COMMANDS = {
     "train": (cmd_train, TRAIN_SETTINGS, "train one model on one synthetic site"),
     "gen-data": (cmd_gen_data, GEN_DATA_SETTINGS,

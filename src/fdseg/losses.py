@@ -2,7 +2,7 @@
 the cross-sample exchangeable variant, and the warm-started alpha schedule."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -161,7 +161,7 @@ def fd_exch_loss(summary: MaskedFeatureSummary,
 
 @dataclass
 class AlphaState:
-    """Per-tap penalty weights with warm-start bookkeeping."""
+    """Per-tap penalty weights, warm-start bookkeeping and the ascent rates."""
     alpha: np.ndarray
     phase: str = "warmup"           # "warmup" | "active"
     tau: float = 0.0
@@ -169,22 +169,18 @@ class AlphaState:
     alpha_max: float = 1.0
 
     @classmethod
-    def fresh(cls, n_taps: int, tau: float = 0.0, eta_alpha: float = 1e-3,
-              alpha_max: float = 1.0) -> "AlphaState":
-        return cls(np.zeros(n_taps, dtype=np.float64), "warmup", tau, eta_alpha,
-                   alpha_max)
+    def fresh(cls, n_taps: int, **rates: float) -> "AlphaState":
+        return cls(np.zeros(n_taps, dtype=np.float64), **rates)
 
 
 def alpha_update(state: AlphaState, fd_per_tap: np.ndarray, step: int,
                  warmup_steps: int) -> AlphaState:
     """Multiplier ascent: raise alpha_l while tap l's discrepancy exceeds tau."""
     if step < warmup_steps:
-        return AlphaState(np.zeros_like(state.alpha), "warmup", state.tau,
-                          state.eta_alpha, state.alpha_max)
+        return replace(state, alpha=np.zeros_like(state.alpha), phase="warmup")
     new = state.alpha + state.eta_alpha * (np.asarray(fd_per_tap, np.float64)
                                            - state.tau)
-    new = np.clip(new, 0.0, state.alpha_max)
-    return AlphaState(new, "active", state.tau, state.eta_alpha, state.alpha_max)
+    return replace(state, alpha=np.clip(new, 0.0, state.alpha_max), phase="active")
 
 
 @dataclass

@@ -8,7 +8,7 @@ import glob
 import os
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -23,22 +23,24 @@ DATA_ADDITION_FRACTIONS = (0.0, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0)
 NOISE_SWEEP_GRID = (0.0, 0.05, 0.10, 0.15, 0.20)
 NOISE_SWEEP_MODES = LOSS_MODES[:2]          # seg_only vs seg+fd
 SWEEP_SEEDS = (0, 1, 2, 3, 4)
+# SweepSettings fields passed by name to each cell's TrainConfig
+_TRAIN_FIELDS = ("phase1_epochs", "phase2_epochs", "batch_size", "lr",
+                 "augment_train")
 
 
 @dataclass
 class SweepSettings:
-    """Shared desk-scale knobs for one sweep."""
-    base_site: SiteConfig = BASE_SITE
-    novel_site: SiteConfig = NOVEL_SITE
+    """Shared desk-scale knobs for one sweep; cells take UNetConfig's depth."""
+    base_site: SiteConfig = replace(BASE_SITE, image_size=(32, 32))
+    novel_site: SiteConfig = replace(NOVEL_SITE, image_size=(32, 32))
     n_base: int = 40
     n_novel: int = 40
     phase1_epochs: int = 12
     phase2_epochs: int = 9
-    batch_size: int = 8
-    lr: float = 0.05
-    depth: int = 2
-    base_channels: int = 8
-    augment_train: bool = True
+    batch_size: int = TrainConfig.batch_size
+    lr: float = TrainConfig.lr
+    base_channels: int = UNetConfig.base_channels
+    augment_train: bool = TrainConfig.augment_train
     cap_novel_at_base: bool = False
     data_seed: int = DATA_SEED
 
@@ -79,25 +81,28 @@ def _base_split(settings: SweepSettings) -> tuple[list, list, list]:
 
 def _train_config(settings: SweepSettings, seed: int, loss_mode: str,
                   noise_sigma: float = 0.0) -> TrainConfig:
-    return TrainConfig(phase1_epochs=settings.phase1_epochs,
-                       phase2_epochs=settings.phase2_epochs,
-                       batch_size=settings.batch_size, lr=settings.lr,
-                       seed=seed, loss_mode=loss_mode,
-                       augment_train=settings.augment_train,
-                       noise_sigma=noise_sigma)
+    return TrainConfig(seed=seed, loss_mode=loss_mode, noise_sigma=noise_sigma,
+                       **{k: getattr(settings, k) for k in _TRAIN_FIELDS})
 
 
 def _unet_config(settings: SweepSettings) -> UNetConfig:
-    return UNetConfig(depth=settings.depth, base_channels=settings.base_channels,
+    return UNetConfig(base_channels=settings.base_channels,
                       image_size=settings.base_site.image_size)
 
 
-def check_settings(settings: SweepSettings, loss_modes: Sequence[str],
-                   seeds: Sequence[int]) -> None:
+def check_settings(settings: SweepSettings, conditions: Sequence[float],
+                   loss_modes: Sequence[str], seeds: Sequence[int]) -> None:
     """Raise the ContractError or DimensionError that a cell would hit, so
-    that bad settings fail the sweep before any cell runs."""
+    that bad settings fail the sweep before any cell runs. A repeated
+    condition, loss mode or seed is an error too: its cells would be copies
+    that `SweepResult.aggregate` counts as independent runs."""
     if not seeds:
         raise ContractError("a sweep needs at least one seed")
+    for what, values in (("condition", conditions), ("loss mode", loss_modes),
+                         ("seed", seeds)):
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ContractError(f"sweep {what} {value!r} is repeated")
     _unet_config(settings)
     for loss_mode in loss_modes:
         for seed in seeds:
@@ -225,7 +230,7 @@ def data_addition_sweep(settings: SweepSettings,
                         fractions: Sequence[float] = DATA_ADDITION_FRACTIONS,
                         loss_modes: Sequence[str] = LOSS_MODES,
                         seeds: Sequence[int] = SWEEP_SEEDS) -> SweepResult:
-    check_settings(settings, loss_modes, seeds)
+    check_settings(settings, fractions, loss_modes, seeds)
     cells = [(settings, f, s, m)
              for f in fractions for m in loss_modes for s in seeds]
     return SweepResult(rows=_run_cells(run_data_addition_cell, cells))
@@ -235,7 +240,7 @@ def noise_sweep(settings: SweepSettings,
                 sigmas: Sequence[float] = NOISE_SWEEP_GRID,
                 loss_modes: Sequence[str] = NOISE_SWEEP_MODES,
                 seeds: Sequence[int] = SWEEP_SEEDS) -> SweepResult:
-    check_settings(settings, loss_modes, seeds)
+    check_settings(settings, sigmas, loss_modes, seeds)
     cells = [(settings, sg, s, m)
              for sg in sigmas for m in loss_modes for s in seeds]
     return SweepResult(rows=_run_cells(run_noise_cell, cells))

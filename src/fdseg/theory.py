@@ -12,6 +12,10 @@ import numpy as np
 from .tensor import ContractError
 
 EPS = 1e-12
+LEMMA2_STEP = 1e-6          # central-difference step of lemma2_gradient
+SPECTRAL_TOL, SPECTRAL_MAX_ITER = 1e-6, 1000   # spectral_norm's stopping rule
+DX_SCALE = 0.38             # std of the weight-norm experiment's fg/bg inputs
+MEDIATION_MIN_SAMPLES = 10_000
 
 
 # -- Dice lower bound on normalized discrepancy ---------------------------------
@@ -60,6 +64,8 @@ def lemma1_violation_rate(n_instances: int = 100, size: int = 8,
                           seed: int = 0) -> dict:
     """Monte-Carlo sweep over random post-ReLU instances; reports the empirical
     rate at which the bound fails to hold."""
+    if n_instances < 1:
+        raise ContractError(f"lemma1 needs n_instances >= 1, got {n_instances}")
     rng = np.random.default_rng(seed)
     holds = 0
     gaps = []
@@ -99,8 +105,7 @@ def _log_sep_grad(w: np.ndarray, dx: np.ndarray) -> np.ndarray:
     return -2.0 * prod * dx / float((prod.ravel() @ prod.ravel()))
 
 
-def lemma2_gradient(w: np.ndarray, dx: np.ndarray,
-                    eps: float = 1e-6) -> Lemma2Report:
+def lemma2_gradient(w: np.ndarray, dx: np.ndarray) -> Lemma2Report:
     """Analytic gradient of -log(||W o dx||^2) (Hadamard reading) versus central
     differences, plus the two exact scale laws."""
     w = w.astype(np.float64)
@@ -114,12 +119,12 @@ def lemma2_gradient(w: np.ndarray, dx: np.ndarray,
     while not it.finished:
         ix = it.multi_index
         orig = w[ix]
-        w[ix] = orig + eps
+        w[ix] = orig + LEMMA2_STEP
         hi = _log_sep_loss(w, dx)
-        w[ix] = orig - eps
+        w[ix] = orig - LEMMA2_STEP
         lo = _log_sep_loss(w, dx)
         w[ix] = orig
-        numeric[ix] = (hi - lo) / (2.0 * eps)
+        numeric[ix] = (hi - lo) / (2.0 * LEMMA2_STEP)
         it.iternext()
     denom = np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
     max_rel = float(np.max(np.abs(analytic - numeric) / denom))
@@ -136,14 +141,13 @@ def lemma2_gradient(w: np.ndarray, dx: np.ndarray,
                         scale_w_ratio_error=w_err)
 
 
-def spectral_norm(w: np.ndarray, tol: float = 1e-6, max_iter: int = 1000,
-                  seed: int = 0) -> float:
+def spectral_norm(w: np.ndarray, seed: int = 0) -> float:
     """Largest singular value by power iteration on W^T W."""
     rng = np.random.default_rng(seed)
     v = rng.normal(size=w.shape[1])
     v /= np.linalg.norm(v)
     prev = 0.0
-    for _ in range(max_iter):
+    for _ in range(SPECTRAL_MAX_ITER):
         u = w @ v
         v_new = w.T @ u
         norm = np.linalg.norm(v_new)
@@ -151,7 +155,7 @@ def spectral_norm(w: np.ndarray, tol: float = 1e-6, max_iter: int = 1000,
             return 0.0
         v = v_new / norm
         sigma = math.sqrt(norm)
-        if abs(sigma - prev) <= tol * max(sigma, 1.0):
+        if abs(sigma - prev) <= SPECTRAL_TOL * max(sigma, 1.0):
             return sigma
         prev = sigma
     return prev
@@ -165,8 +169,8 @@ class WeightNormResult:
 
 
 def weight_norm_experiment(d: int = 4, steps: int = 500, lr: float = 0.01,
-                           seeds: Sequence[int] = (0, 1, 2, 3, 4),
-                           dx_scale: float = 0.38) -> WeightNormResult:
+                           seeds: Sequence[int] = (0, 1, 2, 3, 4)
+                           ) -> WeightNormResult:
     """Train a single Hadamard layer on a fixed foreground/background pair under
     (a) -log||W o dx||^2 and (b) -||W o dx||^2; return final spectral norms.
 
@@ -178,8 +182,8 @@ def weight_norm_experiment(d: int = 4, steps: int = 500, lr: float = 0.01,
     result = WeightNormResult()
     for seed in seeds:
         rng = np.random.default_rng(seed)
-        xg = rng.normal(0.0, dx_scale, size=(d, d))
-        xb = rng.normal(0.0, dx_scale, size=(d, d))
+        xg = rng.normal(0.0, DX_SCALE, size=(d, d))
+        xb = rng.normal(0.0, DX_SCALE, size=(d, d))
         dx = xg - xb
         w0 = rng.uniform(-0.5, 0.5, size=(d, d))
 
@@ -211,8 +215,9 @@ def mediation_mc(a: float, b: float, n_samples: int = 100_000,
     Returns (slope_hat, residual variance); closed form is slope ab and
     variance 1 + b^2.
     """
-    if n_samples < 10_000:
-        raise ContractError("mediation_mc needs n_samples >= 10000")
+    if n_samples < MEDIATION_MIN_SAMPLES:
+        raise ContractError(
+            f"mediation_mc needs n_samples >= {MEDIATION_MIN_SAMPLES}")
     rng = np.random.default_rng(seed)
     x = rng.normal(size=n_samples)
     z = a * x + rng.normal(size=n_samples)

@@ -26,6 +26,8 @@ LOSS_TABLE = {
     "seg+fd+exch": (True, True),
 }
 LOSS_MODES = tuple(LOSS_TABLE)
+MOMENTUM = 0.9
+EVAL_THRESHOLD, EVAL_BATCH = 0.5, 16    # evaluate()'s foreground cut, chunk size
 
 
 @dataclass
@@ -34,12 +36,8 @@ class TrainConfig:
     phase2_epochs: int = 30
     batch_size: int = 8
     lr: float = 0.05
-    momentum: float = 0.9
     seed: int = 0
     loss_mode: str = "seg+fd"
-    tau: float = 0.0
-    eta_alpha: float = 1e-3
-    alpha_max: float = 1.0
     augment_train: bool = True
     noise_sigma: float = 0.0
 
@@ -106,17 +104,16 @@ def _first_nonfinite_tap(taps) -> str:
 
 
 class _SGD:
-    def __init__(self, params: dict[str, Tensor], lr: float, momentum: float):
+    def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = params
         self.lr = lr
-        self.momentum = momentum
         self.velocity = {k: np.zeros_like(p.values) for k, p in params.items()}
 
     def step(self) -> None:
         for k, p in self.params.items():
             if p.grad is None:
                 continue
-            v = self.momentum * self.velocity[k] + p.grad
+            v = MOMENTUM * self.velocity[k] + p.grad
             self.velocity[k] = v
             p.values -= (self.lr * v).astype(p.values.dtype)
             p.grad = None
@@ -160,9 +157,8 @@ def train(config: TrainConfig, model: UNet,
     val_set = datasets["val"]
 
     fd, exch = LOSS_TABLE[config.loss_mode]
-    opt = _SGD(model.params, config.lr, config.momentum)
-    state = AlphaState.fresh(len(model.config.tap_names()), config.tau,
-                             config.eta_alpha, config.alpha_max)
+    opt = _SGD(model.params, config.lr)
+    state = AlphaState.fresh(len(model.config.tap_names()))
     data_rng = np.random.default_rng(config.seed)
     aux_seed = config.seed * 9973 + 11
 
@@ -215,20 +211,19 @@ def train(config: TrainConfig, model: UNet,
     return best_model, history
 
 
-def evaluate(model: UNet, dataset: Sequence[SiteSample],
-             threshold: float = 0.5, batch_size: int = 16) -> list[MetricsRecord]:
-    """Per-sample hard Dice/IoU at the given threshold (ties -> background) plus
+def evaluate(model: UNet, dataset: Sequence[SiteSample]) -> list[MetricsRecord]:
+    """Per-sample hard Dice/IoU at EVAL_THRESHOLD (ties -> background) plus
     the feature discrepancy of the last decoder tap against the true mask."""
     if not dataset:
         raise ContractError("evaluate requires a non-empty dataset")
     records: list[MetricsRecord] = []
-    for start in range(0, len(dataset), batch_size):
-        chunk = dataset[start:start + batch_size]
+    for start in range(0, len(dataset), EVAL_BATCH):
+        chunk = dataset[start:start + EVAL_BATCH]
         images, masks, _ = _batch_arrays(chunk)
         pred, taps = model.forward(images)
         s = feature_summary(taps[-1].activation, masks)
         fds = neg_log_sq_norm(s.per_sample_fg - s.per_sample_bg, axis=3).values
-        hard = (pred.values > threshold).astype(np.float64)
+        hard = (pred.values > EVAL_THRESHOLD).astype(np.float64)
         mv = masks.values.astype(np.float64)
         for i, sample in enumerate(chunk):
             inter = float((hard[i] * mv[i]).sum())
@@ -301,8 +296,7 @@ def write_history_csv(path: str, history: Sequence[EpochRecord],
             if has_fd:
                 row += [f"{v:.6f}" for v in r.fd_per_tap]
             if has_exch:
-                vals = r.fd_exch_per_tap or [0.0] * len(tap_names)
-                row += [f"{v:.6f}" for v in vals]
+                row += [f"{v:.6f}" for v in r.fd_exch_per_tap]
             if has_fd:
                 row += [f"{v:.6f}" for v in r.alpha]
             row.append(f"{r.val_dice:.6f}")

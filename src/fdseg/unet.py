@@ -189,6 +189,24 @@ def _read_json(fh, path: str, what: str) -> dict:
         raise ContractError(f"{path}: corrupt checkpoint {what}: {exc}") from None
 
 
+def _config_from_header(cfg, path: str) -> UNetConfig:
+    """The UNetConfig of a config header, which must hold exactly the integers
+    save_checkpoint writes: depth, base_channels, in_channels and the two of
+    image_size."""
+    ints = ("depth", "base_channels", "in_channels")
+    size = cfg.get("image_size") if isinstance(cfg, dict) else None
+    well_formed = (isinstance(cfg, dict) and set(cfg) == {*ints, "image_size"}
+                   and all(type(cfg[k]) is int for k in ints)
+                   and isinstance(size, list) and len(size) == 2
+                   and all(type(v) is int for v in size))
+    if not well_formed:
+        raise ContractError(f"{path}: malformed checkpoint config {cfg!r}")
+    try:
+        return UNetConfig(**{k: cfg[k] for k in ints}, image_size=tuple(size))
+    except DimensionError as exc:
+        raise ContractError(f"{path}: bad checkpoint config: {exc}") from None
+
+
 def load_checkpoint(path: str) -> UNet:
     """Read a checkpoint written by save_checkpoint. Every tensor must have the
     name and shape its config implies, in declaration order, and nothing may
@@ -197,10 +215,7 @@ def load_checkpoint(path: str) -> UNet:
         magic = fh.read(8)
         if magic != CHECKPOINT_MAGIC:
             raise ContractError(f"bad checkpoint magic {magic!r}")
-        cfg = _read_json(fh, path, "config")
-        config = UNetConfig(depth=cfg["depth"], base_channels=cfg["base_channels"],
-                            in_channels=cfg["in_channels"],
-                            image_size=tuple(cfg["image_size"]))
+        config = _config_from_header(_read_json(fh, path, "config"), path)
         params: dict[str, Tensor] = {}
         for layer, kh, kw, cin, cout in _conv_layers(config):
             for name, shape in ((f"{layer}_w", (kh, kw, cin, cout)),

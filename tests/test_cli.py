@@ -6,8 +6,11 @@ import re
 
 import pytest
 
-from fdseg.cli import main
-from fdseg.sweeps import SweepResult, SweepRow, read_sweep_csv, write_sweep_csv
+from fdseg.cli import SWEEP_SETTINGS, TRAIN_SETTINGS, main
+from fdseg.sweeps import (SweepResult, SweepRow, SweepSettings, read_sweep_csv,
+                          write_sweep_csv)
+from fdseg.trainer import TrainConfig
+from fdseg.unet import UNetConfig
 from fdseg.report import sweep_chart_svg, write_sweep_chart
 
 FAST_TRAIN = ["--image-size", "16", "--n-samples", "12", "--phase1-epochs", "1",
@@ -145,6 +148,51 @@ def test_negative_or_empty_setting_exits_before_manifest(tmp_path, argv):
     out = str(tmp_path / "run")
     assert main(argv + ["--out", out]) == 2
     assert not os.path.exists(os.path.join(out, "manifest.json"))
+
+
+@pytest.mark.parametrize("argv,repeated", [
+    (["--seeds", "0,0", "--loss-modes", "seg_only"], "seed 0"),
+    (["--seeds", "0", "--loss-modes", "seg_only,seg_only"],
+     "loss mode 'seg_only'"),
+], ids=["seeds", "loss_modes"])
+def test_repeated_sweep_value_exits_before_manifest(tmp_path, capsys, argv,
+                                                    repeated):
+    out = str(tmp_path / "run")
+    assert main(["noise-sweep", "--out", out] + FAST_SWEEP + argv) == 2
+    assert f"sweep {repeated} is repeated" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "manifest.json"))
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["gen-data", "--n-samples", "0"], "n must be >= 1"),
+    (["lemma-checks", "--lemma1-samples", "0"], "lemma1_samples must be >= 1"),
+    (["lemma-checks", "--mediation-n", "5"], "mediation_n must be >= 10000"),
+], ids=["gen_data_n_samples", "lemma1_samples", "mediation_n"])
+def test_gen_data_and_lemma_setting_exits_before_manifest(tmp_path, capsys,
+                                                          argv, message):
+    out = str(tmp_path / "run")
+    assert main(argv + ["--out", out]) == 2
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "manifest.json"))
+
+
+def _shared_defaults(settings, *configs):
+    """The settings that a config also has, each with the config's default."""
+    return {k: getattr(c, k) for k in settings if k != "image_size"
+            for c in configs if hasattr(c, k)}
+
+
+def test_each_cli_default_is_its_config_default():
+    sweep, tc, uc = SweepSettings(), TrainConfig(), UNetConfig()
+    assert (SWEEP_SETTINGS["image_size"],) * 2 == sweep.base_site.image_size \
+        == sweep.novel_site.image_size
+    assert (TRAIN_SETTINGS["image_size"],) * 2 == uc.image_size
+    for settings, configs in ((SWEEP_SETTINGS, (sweep,)),
+                              (TRAIN_SETTINGS, (tc, uc))):
+        shared = _shared_defaults(settings, *configs)
+        assert shared == {k: settings[k] for k in shared}
+        assert settings["no_augment"] is not configs[0].augment_train
+    assert TRAIN_SETTINGS["loss"] == tc.loss_mode
 
 
 FAST_ARGS = {"train": FAST_TRAIN,

@@ -9,7 +9,7 @@ import pytest
 
 import fdseg.sweeps
 from fdseg.data import BASE_SITE, NOVEL_SITE
-from fdseg.sweeps import (SweepSettings, _openblas, _run_cells,
+from fdseg.sweeps import (SweepSettings, _openblas, _run_cells, check_settings,
                           data_addition_sweep, noise_sweep, pool_runtime,
                           run_data_addition_cell, write_sweep_csv)
 from fdseg.tensor import ContractError
@@ -117,3 +117,21 @@ def test_pool_and_serial_sweeps_write_identical_rows(monkeypatch, tmp_path):
             blobs.append(fh.read())
     assert blobs[0] == blobs[1]
     assert blobs[0].count(b",ok\r\n") == 4
+
+
+@pytest.mark.parametrize("conditions,modes,seeds,repeated", [
+    ((0.0, 0.1, 0.0), ("seg_only",), (0,), "condition 0.0"),
+    ((0.0,), ("seg_only", "seg+fd", "seg_only"), (0,), "loss mode 'seg_only'"),
+    ((0.0,), ("seg_only",), (3, 1, 3), "seed 3"),
+], ids=["conditions", "loss_modes", "seeds"])
+def test_check_settings_rejects_a_repeated_value(conditions, modes, seeds,
+                                                  repeated):
+    with pytest.raises(ContractError, match=f"sweep {repeated} is repeated"):
+        check_settings(TINY, conditions, modes, seeds)
+
+
+def test_repeated_seed_fails_the_sweep_before_any_cell(monkeypatch):
+    monkeypatch.setattr(fdseg.sweeps, "_run_cells",
+                        lambda fn, cells: pytest.fail("a cell ran"))
+    with pytest.raises(ContractError, match="seed 0 is repeated"):
+        noise_sweep(TINY, sigmas=(0.0,), loss_modes=("seg_only",), seeds=(0, 0))

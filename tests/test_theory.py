@@ -189,3 +189,9 @@ def test_correlation_independent_noise_is_weak():
     rng = np.random.default_rng(3)
     r = dice_fd_correlation(rng.random(100), rng.random(100))
     assert abs(r) < 0.3
+
+
+@pytest.mark.parametrize("n_instances", [0, -3])
+def test_lemma1_violation_rate_needs_an_instance(n_instances):
+    with pytest.raises(ContractError, match="n_instances >= 1"):
+        lemma1_violation_rate(n_instances=n_instances)

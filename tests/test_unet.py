@@ -1,6 +1,9 @@
 """Tests for the segmentation network: tap structure, initialization,
 determinism, and the checkpoint format."""
+import json
 import os
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -191,6 +194,32 @@ def test_checkpoint_rejects_corrupt_file(tmp_path, edit_params, edit_bytes,
         with open(path, "wb") as fh:
             fh.write(blob)
     with pytest.raises(ContractError, match=match):
+        load_checkpoint(path)
+
+
+def _without_depth(cfg):
+    return {k: v for k, v in cfg.items() if k != "depth"}
+
+
+@pytest.mark.parametrize("edit_config", [
+    _without_depth,
+    lambda cfg: {**cfg, "image_size": 16},
+    lambda cfg: list(cfg.values()),
+    lambda cfg: {**cfg, "depth": 0},
+], ids=["missing_depth", "int_image_size", "list_header", "zero_depth"])
+def test_checkpoint_rejects_malformed_config_header(tmp_path, edit_config):
+    model = init_params(UNetConfig(depth=1, base_channels=8,
+                                   image_size=(16, 16)), seed=3)
+    path = os.path.join(tmp_path, "m.ckpt")
+    save_checkpoint(model, path)
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    (n,) = struct.unpack("<I", blob[8:12])
+    config = json.dumps(edit_config(json.loads(blob[12:12 + n]))).encode()
+    with open(path, "wb") as fh:
+        fh.write(blob[:8] + struct.pack("<I", len(config)) + config
+                 + blob[12 + n:])
+    with pytest.raises(ContractError, match=re.escape(path)):
         load_checkpoint(path)
 
 
