@@ -22,8 +22,8 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .data import (BASE_SITE, DATA_SEED, NOVEL_SITE, SiteConfig, generate_site,
-                   save_site, split_dataset)
+from .data import (BASE_SITE, DATA_SEED, IMAGE_SIZE, NOVEL_SITE, SiteConfig,
+                   generate_site, save_site, split_dataset)
 from .sweeps import (DATA_ADDITION_FRACTIONS, NOISE_SWEEP_GRID,
                      NOISE_SWEEP_MODES, SWEEP_SEEDS, SweepSettings,
                      check_settings, data_addition_sweep, noise_sweep,
@@ -50,12 +50,12 @@ _SWEEP_FIELDS = ("n_base", "n_novel", "phase1_epochs", "phase2_epochs",
                  "batch_size", "lr", "cap_novel_at_base")
 
 TRAIN_SETTINGS = {"site": "base", "loss": _TC.loss_mode, "n_samples": 40,
-                  "image_size": _UC.image_size[0], "depth": _UC.depth,
+                  "image_size": IMAGE_SIZE[0], "depth": _UC.depth,
                   "base_channels": _UC.base_channels,
                   "no_augment": not _TC.augment_train,
                   **{k: getattr(_TC, k) for k in _TRAIN_FIELDS}}
 GEN_DATA_SETTINGS = {"site": "base", "n_samples": 40, "seed": DATA_SEED,
-                     "image_size": BASE_SITE.image_size[0]}
+                     "image_size": IMAGE_SIZE[0]}
 SWEEP_SETTINGS = {"seeds": ",".join(map(str, SWEEP_SEEDS)),
                   "image_size": _SS.base_site.image_size[0],
                   "no_augment": not _SS.augment_train,

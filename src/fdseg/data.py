@@ -17,6 +17,11 @@ class PgmParseError(ValueError):
         self.offset = offset
 
 
+# Image size of single runs: the default of SiteConfig and UNetConfig, and of
+# the `gen-data` and `train` commands.
+IMAGE_SIZE = (64, 64)
+
+
 @dataclass(frozen=True)
 class SiteConfig:
     name: str
@@ -25,7 +30,7 @@ class SiteConfig:
     texture_sigma: float = 0.0
     blur_radius: int = 0
     n_shapes: tuple[int, int] = (1, 3)
-    image_size: tuple[int, int] = (64, 64)
+    image_size: tuple[int, int] = IMAGE_SIZE
 
     def __post_init__(self):
         if abs(self.fg_intensity_mean - self.bg_intensity_mean) <= 0:

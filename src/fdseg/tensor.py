@@ -6,6 +6,7 @@ and its losses need are implemented.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 from typing import Callable, Optional, Sequence
 
@@ -14,6 +15,21 @@ import numpy as np
 LOG_CLAMP = 1e-12
 
 _ids = itertools.count()
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build no graph inside the block: a new node needs a gradient only if it
+    is a leaf created with requires_grad=True, and keeps no parents or grad_fn,
+    so what an op saved for its backward (a conv's patch matrix) is freed as
+    soon as the op returns. The Tape still records every node."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 class DimensionError(ValueError):
@@ -56,9 +72,9 @@ class Tape:
 class Tensor:
     """Rank-4 array node in a computation graph.
 
-    Non-leaf tensors keep references to their parents and a closure mapping the
-    upstream gradient to per-parent gradients; `backward` on a scalar root
-    accumulates grads additively across fan-out.
+    Non-leaf tensors built outside `no_grad` keep references to their parents
+    and a closure mapping the upstream gradient to per-parent gradients;
+    `backward` on a scalar root accumulates grads additively across fan-out.
     """
 
     def __init__(self, values, requires_grad: bool = False,
@@ -73,10 +89,11 @@ class Tensor:
         if min(arr.shape) < 1:
             raise DimensionError(f"all axes must be >= 1, got {arr.shape}")
         self.values = arr
-        self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in parents)
+        self.requires_grad = bool(requires_grad) or (
+            _grad_enabled and any(p.requires_grad for p in parents))
         self.grad: Optional[np.ndarray] = None
-        self._parents = tuple(parents)
-        self._grad_fn = grad_fn
+        self._parents = tuple(parents) if _grad_enabled else ()
+        self._grad_fn = grad_fn if _grad_enabled else None
         self.op = op
         self.id = next(_ids)
         if Tape._active is not None:
@@ -336,6 +353,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         dk = (cols2d.T @ g2d).reshape(kh, kw, cin, cout)
         if not x.requires_grad:
             return None, dk, db
+        if kh == kw == 1:
+            return (g2d @ kernel.values[0, 0].T).reshape(n, h, w, cin), dk, db
         # one GEMM over cout per kernel offset, scattered in (i, j) order
         dxp = np.zeros((n, h + 2 * ph, w + 2 * pw, cin), dtype=x.dtype)
         for i in range(kh):
@@ -349,23 +368,33 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
 
 
 def maxpool2d(x: Tensor, window: int = 2) -> Tensor:
-    """2x2 max pooling; gradient routes to the first row-major argmax per window."""
-    n, h, w, c = x.shape
+    """2x2 max pooling; gradient routes to the first row-major max per window."""
+    _, h, w, _ = x.shape
     if h % window != 0:
         raise DimensionError(f"height {h} not divisible by window {window}", axis="height")
     if w % window != 0:
         raise DimensionError(f"width {w} not divisible by window {window}", axis="width")
-    h2, w2 = h // window, w // window
-    blocks = x.values.reshape(n, h2, window, w2, window, c).transpose(0, 1, 3, 2, 4, 5)
-    flat = blocks.reshape(n, h2, w2, window * window, c)
-    arg = flat.argmax(axis=3)  # first max in row-major scan order
-    out = np.take_along_axis(flat, arg[:, :, :, None, :], axis=3)[:, :, :, 0, :]
+    xv = x.values
+
+    def windows(a: np.ndarray) -> list[np.ndarray]:
+        """Strided views of each window offset, in row-major order."""
+        return [a[:, i::window, j::window, :]
+                for i in range(window) for j in range(window)]
+
+    # a copy, so that out never aliases x; on a tie np.maximum returns its
+    # second argument, which keeps the earlier (row-major first) value
+    out = windows(xv)[0].copy()
+    for view in windows(xv)[1:]:
+        np.maximum(view, out, out=out)
 
     def grad_fn(g):
-        dflat = np.zeros_like(flat)
-        np.put_along_axis(dflat, arg[:, :, :, None, :], g[:, :, :, None, :], axis=3)
-        dx = dflat.reshape(n, h2, w2, window, window, c).transpose(0, 1, 3, 2, 4, 5)
-        return (dx.reshape(n, h, w, c),)
+        dx = np.empty_like(xv)                   # the views cover all of it
+        free = np.ones(out.shape, dtype=bool)    # windows not yet routed
+        for view, dview in zip(windows(xv), windows(dx)):
+            hit = free & (view == out)
+            dview[...] = np.where(hit, g, 0)
+            free &= ~hit
+        return (dx,)
 
     return Tensor(out, parents=(x,), op="maxpool2d", grad_fn=grad_fn)
 

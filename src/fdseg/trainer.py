@@ -15,7 +15,7 @@ from .losses import (AlphaState, LossBreakdown, alpha_update, feature_summary,
                      neg_log_sq_norm, pool_mask, total_loss)
 # perfbench/spans.py wraps fdseg.trainer.fd_loss, so the name stays importable.
 from .losses import fd_loss  # noqa: F401
-from .tensor import Tensor, ContractError, backward
+from .tensor import Tensor, ContractError, backward, no_grad
 from .unet import UNet
 
 # loss mode -> (per-tap fd penalty on, fd_exch added to it): the objective
@@ -28,6 +28,9 @@ LOSS_TABLE = {
 LOSS_MODES = tuple(LOSS_TABLE)
 MOMENTUM = 0.9
 EVAL_THRESHOLD, EVAL_BATCH = 0.5, 16    # evaluate()'s foreground cut, chunk size
+# evaluate()'s pixels per chunk: 32x32 images keep 16-sample chunks, larger
+# ones get fewer samples, so that each conv's patch matrix stays in cache
+EVAL_PIXELS = EVAL_BATCH * 32 * 32
 
 
 @dataclass
@@ -213,14 +216,19 @@ def train(config: TrainConfig, model: UNet,
 
 def evaluate(model: UNet, dataset: Sequence[SiteSample]) -> list[MetricsRecord]:
     """Per-sample hard Dice/IoU at EVAL_THRESHOLD (ties -> background) plus
-    the feature discrepancy of the last decoder tap against the true mask."""
+    the feature discrepancy of the last decoder tap against the true mask.
+    The forward builds no graph; a chunk holds at most EVAL_BATCH samples and,
+    past its first sample, at most EVAL_PIXELS pixels."""
     if not dataset:
         raise ContractError("evaluate requires a non-empty dataset")
+    h, w = dataset[0].image.shape[:2]
+    size = max(1, min(EVAL_BATCH, EVAL_PIXELS // (h * w)))
     records: list[MetricsRecord] = []
-    for start in range(0, len(dataset), EVAL_BATCH):
-        chunk = dataset[start:start + EVAL_BATCH]
+    for start in range(0, len(dataset), size):
+        chunk = dataset[start:start + size]
         images, masks, _ = _batch_arrays(chunk)
-        pred, taps = model.forward(images)
+        with no_grad():
+            pred, taps = model.forward(images)
         s = feature_summary(taps[-1].activation, masks)
         fds = neg_log_sq_norm(s.per_sample_fg - s.per_sample_bg, axis=3).values
         hard = (pred.values > EVAL_THRESHOLD).astype(np.float64)

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import IMAGE_SIZE
 from .tensor import (Tensor, ContractError, DimensionError, concat_channels,
                      conv2d, maxpool2d, relu, sigmoid, upsample_nearest)
 
@@ -19,7 +20,7 @@ class UNetConfig:
     depth: int = 2
     base_channels: int = 8
     in_channels: int = 1
-    image_size: tuple[int, int] = (64, 64)
+    image_size: tuple[int, int] = IMAGE_SIZE
 
     def __post_init__(self):
         if self.depth < 1:

@@ -6,7 +6,9 @@ import re
 
 import pytest
 
-from fdseg.cli import SWEEP_SETTINGS, TRAIN_SETTINGS, main
+from fdseg.cli import (GEN_DATA_SETTINGS, SWEEP_SETTINGS, TRAIN_SETTINGS,
+                       main)
+from fdseg.data import BASE_SITE, NOVEL_SITE
 from fdseg.sweeps import (SweepResult, SweepRow, SweepSettings, read_sweep_csv,
                           write_sweep_csv)
 from fdseg.trainer import TrainConfig
@@ -193,6 +195,14 @@ def test_each_cli_default_is_its_config_default():
         assert shared == {k: settings[k] for k in shared}
         assert settings["no_augment"] is not configs[0].augment_train
     assert TRAIN_SETTINGS["loss"] == tc.loss_mode
+
+
+def test_gen_data_and_train_default_image_sizes_agree():
+    """`gen-data` writes by default the images that `train` trains on."""
+    size = TRAIN_SETTINGS["image_size"]
+    assert GEN_DATA_SETTINGS["image_size"] == size
+    assert (size, size) == UNetConfig().image_size == BASE_SITE.image_size \
+        == NOVEL_SITE.image_size
 
 
 FAST_ARGS = {"train": FAST_TRAIN,

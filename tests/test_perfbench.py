@@ -4,7 +4,10 @@ traced benchmark run."""
 import importlib.util
 import os
 
+import fdseg.data
 import fdseg.tensor
+import fdseg.trainer
+import fdseg.unet
 
 SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                      "spans.py")
@@ -30,3 +33,23 @@ def test_tracer_installs_and_uninstalls(tmp_path):
     assert fdseg.tensor.Tape._active is None
     for owner, attr, orig in originals:
         assert owner.__dict__[attr] is orig, attr
+
+
+def test_tracer_names_convs_of_a_no_graph_evaluate(tmp_path):
+    """evaluate() builds no graph; the tracer's conv wrapper, which wraps each
+    output's grad_fn, must still let it finish and name every conv span."""
+    spans = _load_spans()
+    model = fdseg.unet.init_params(fdseg.unet.UNetConfig(
+        base_channels=2, image_size=(16, 16)), seed=0)
+    site = fdseg.data.SiteConfig("s", 0.7, 0.3, image_size=(16, 16))
+    samples = fdseg.data.generate_site(site, 5, seed=2)
+    tracer = spans.Tracer(str(tmp_path))
+    try:
+        tracer.install()
+        records = fdseg.trainer.evaluate(model, samples)
+    finally:
+        tracer.uninstall()
+    assert len(records) == 5
+    convs = [s[0] for s in tracer.spans if s[0].startswith("tensor.conv2d.")]
+    assert convs == [f"tensor.conv2d.fwd.{c}" for c in spans.CONVS]
+    assert "trainer.evaluate" in {s[0] for s in tracer.spans}

@@ -5,12 +5,16 @@ oracle (convolution, pooling) or central finite differences via grad_check.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fdseg.tensor import (ContractError, DimensionError, NonFiniteError, Tape,
                           Tensor, backward, clamp, concat_channels, conv2d,
-                          exp, grad_check, index_batch, log, maxpool2d, relu,
-                          sigmoid, sqrt, square, tsum, tmean, upsample_nearest)
-from fdseg.unet import UNetConfig, _conv_layers
+                          exp, grad_check, index_batch, log, maxpool2d,
+                          no_grad, relu, sigmoid, sqrt, square, tsum, tmean,
+                          upsample_nearest)
+from fdseg.unet import UNetConfig, _conv_layers, init_params
 
 
 def rand(shape, seed=0, lo=-1.0, hi=1.0):
@@ -236,6 +240,52 @@ def test_maxpool_indivisible():
         maxpool2d(rand((1, 3, 4, 1)))
 
 
+def argmax_maxpool_reference(x, g, window):
+    """Forward and input gradient of the argmax formulation of max pooling."""
+    n, h, w, c = x.shape
+    h2, w2 = h // window, w // window
+    flat = x.reshape(n, h2, window, w2, window, c).transpose(
+        0, 1, 3, 2, 4, 5).reshape(n, h2, w2, window * window, c)
+    arg = flat.argmax(axis=3)
+    out = np.take_along_axis(flat, arg[:, :, :, None, :], axis=3)[:, :, :, 0, :]
+    dflat = np.zeros_like(flat)
+    np.put_along_axis(dflat, arg[:, :, :, None, :], g[:, :, :, None, :], axis=3)
+    dx = dflat.reshape(n, h2, w2, window, window, c).transpose(0, 1, 3, 2, 4, 5)
+    return out, dx.reshape(n, h, w, c)
+
+
+@st.composite
+def pool_inputs(draw):
+    """Integer-valued inputs, signed zeros included, so windows tie often."""
+    window = draw(st.sampled_from([1, 2, 3]))
+    n, h2, w2, c = (draw(st.integers(1, 3)) for _ in range(4))
+    shape = (n, h2 * window, w2 * window, c)
+    values = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
+    x = draw(hnp.arrays(np.float32, shape, elements=values))
+    g = draw(hnp.arrays(np.float32, (n, h2, w2, c),
+                        elements=st.sampled_from([-1.5, -0.0, 0.5, 3.0])))
+    return x, g, window
+
+
+@settings(max_examples=200, deadline=None)
+@given(pool_inputs())
+def test_maxpool_matches_argmax_routing_reference(case):
+    x, g, window = case
+    t = Tensor(x.copy(), requires_grad=True)
+    out = maxpool2d(t, window)
+    ref_out, ref_dx = argmax_maxpool_reference(x, g, window)
+    assert out.values.tobytes() == ref_out.tobytes()
+    assert not np.shares_memory(out.values, t.values)
+    (dx,) = out._grad_fn(g)
+    assert dx.dtype == ref_dx.dtype and dx.tobytes() == ref_dx.tobytes()
+
+
+def test_maxpool_forward_propagates_nan():
+    x = np.array([[1.0, np.nan], [3.0, 2.0]], dtype=np.float32)[None, :, :, None]
+    out = maxpool2d(Tensor(np.concatenate([x, x[:, ::-1]], axis=2)))
+    assert np.isnan(out.values).all()
+
+
 # -- upsample ---------------------------------------------------------------------
 
 def test_upsample_single_pixel():
@@ -400,3 +450,52 @@ def test_forward_replay_is_bit_identical():
         return tsum(sigmoid(conv2d(x, k, b))).values.tobytes()
 
     assert run() == run()
+
+
+# -- no_grad ----------------------------------------------------------------------
+
+def test_no_grad_builds_no_graph_but_tape_records():
+    x = rand((2, 4, 4, 1), seed=18)
+    k = rand((3, 3, 1, 2), seed=19)
+    b = Tensor(np.zeros((1, 1, 1, 2), dtype=np.float32), requires_grad=True)
+    with Tape() as tape, no_grad():
+        leaf = Tensor(np.ones((1, 1, 1, 1)), requires_grad=True)
+        nodes = [conv2d(x, k, b)]
+        nodes.append(maxpool2d(relu(nodes[0])))
+        nodes.append(tsum(nodes[-1]) * leaf)
+    assert leaf.requires_grad
+    for node in nodes:
+        assert not node.requires_grad
+        assert node._parents == () and node._grad_fn is None
+    ops = [op for op, _, _ in tape.nodes]
+    assert ops == ["leaf", "conv2d", "relu", "maxpool2d", "sum", "mul"]
+    assert tape.nodes[1][1] == (x.id, k.id, b.id)
+
+
+def test_no_grad_restores_grad_mode_after_exception():
+    x = rand((1, 2, 2, 1), seed=20)
+    with pytest.raises(ZeroDivisionError):
+        with no_grad():
+            assert not square(x).requires_grad
+            raise ZeroDivisionError
+    y = square(x)
+    assert y.requires_grad and y._parents == (x,) and y._grad_fn is not None
+    with no_grad():
+        with no_grad():
+            pass
+        assert not square(x).requires_grad
+    assert square(x).requires_grad
+
+
+@pytest.mark.parametrize("size,depth", [(16, 2), (64, 2), (32, 3)])
+def test_no_grad_unet_forward_is_byte_equal(size, depth):
+    model = init_params(UNetConfig(depth=depth, image_size=(size, size)), seed=3)
+    images = Tensor(np.random.default_rng(21).uniform(
+        0, 1, size=(3, size, size, 1)).astype(np.float32))
+    pred, taps = model.forward(images)
+    with no_grad():
+        pred_ng, taps_ng = model.forward(images)
+    assert pred.requires_grad and not pred_ng.requires_grad
+    assert pred_ng.values.tobytes() == pred.values.tobytes()
+    for tap, tap_ng in zip(taps, taps_ng):
+        assert tap_ng.activation.values.tobytes() == tap.activation.values.tobytes()

@@ -9,8 +9,8 @@ import pytest
 import scipy.stats
 
 import fdseg.trainer
-from fdseg.data import SiteConfig, generate_site, split_dataset
-from fdseg.losses import fd_loss, feature_summary
+from fdseg.data import BASE_SITE, SiteConfig, generate_site, split_dataset
+from fdseg.losses import fd_loss, feature_summary, neg_log_sq_norm
 from fdseg.tensor import ContractError, Tensor
 from fdseg.trainer import (LOSS_MODES, MetricsRecord, TrainConfig, evaluate,
                            one_sample_t_test, partition_worst_off, train,
@@ -247,6 +247,61 @@ def test_evaluate_fd_matches_per_sample_reference():
                                             Tensor(m[i:i + 1]))).item()
                     for i in range(len(chunk))]
         assert [r.fd_last_decoder for r in recs] == ref
+
+
+def graph_evaluate_reference(model, samples, chunk_size=16):
+    """evaluate() as it ran with a full graph forward over 16-sample chunks:
+    (sample id, dice, iou, fd_last_decoder) per sample."""
+    rows = []
+    for start in range(0, len(samples), chunk_size):
+        chunk = samples[start:start + chunk_size]
+        masks = Tensor(np.stack([s.mask for s in chunk]))
+        pred, taps = model.forward(Tensor(np.stack([s.image for s in chunk])))
+        assert pred.requires_grad
+        s = feature_summary(taps[-1].activation, masks)
+        fds = neg_log_sq_norm(s.per_sample_fg - s.per_sample_bg, axis=3).values
+        hard = (pred.values > 0.5).astype(np.float64)
+        mv = masks.values.astype(np.float64)
+        for i, sample in enumerate(chunk):
+            inter = float((hard[i] * mv[i]).sum())
+            a, b = float(hard[i].sum()), float(mv[i].sum())
+            dice = 2.0 * inter / (a + b) if a + b > 0 else 1.0
+            iou = inter / (a + b - inter) if a + b - inter > 0 else 1.0
+            rows.append((sample.id, dice, iou, float(fds[i, 0, 0, 0])))
+    return rows
+
+
+def test_evaluate_default_unet_matches_graph_forward_reference():
+    """The no-graph forward in 4-sample chunks at 64x64 gives the same
+    floats as the graph forward in 16-sample chunks."""
+    samples = generate_site(BASE_SITE, 18, seed=43)
+    for seed in (0, 5):
+        model = init_params(UNetConfig(), seed=seed)
+        recs = evaluate(model, samples)
+        assert [(r.sample_id, r.dice, r.iou, r.fd_last_decoder)
+                for r in recs] == graph_evaluate_reference(model, samples)
+
+
+@pytest.mark.parametrize("size,chunk", [(16, 16), (32, 16), (48, 7), (64, 4),
+                                        (128, 1), (256, 1)])
+def test_evaluate_chunk_is_capped_by_pixels_and_builds_no_graph(size, chunk):
+    seen = []
+    weight = Tensor(np.ones((1, 1, 1, 1)), requires_grad=True)
+
+    class Spy:
+        config = UNetConfig(image_size=(size, size))
+
+        def forward(self, images):
+            from fdseg.unet import FeatureTap
+            seen.append(images.shape[0])
+            assert not (images * weight).requires_grad
+            pred = Tensor(np.full(images.shape, 0.25, dtype=np.float32))
+            return pred, [FeatureTap("dec_2", images, 1)]
+
+    site = SiteConfig("s", 0.7, 0.3, image_size=(size, size))
+    evaluate(Spy(), generate_site(site, 17, seed=1))
+    assert seen[0] == chunk and sum(seen) == 17
+    assert all(n == chunk for n in seen[:-1])
 
 
 def test_evaluate_rejects_empty_dataset():
