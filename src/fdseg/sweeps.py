@@ -3,8 +3,6 @@ protocol, run as independent seeded cells in a worker pool."""
 from __future__ import annotations
 
 import csv
-import ctypes
-import glob
 import os
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -16,7 +14,8 @@ import numpy as np
 from .data import (BASE_SITE, DATA_SEED, NOVEL_SITE, SiteConfig, generate_site,
                    split_dataset)
 from .tensor import ContractError
-from .trainer import LOSS_MODES, TrainConfig, TrainingAborted, evaluate, train
+from .trainer import (LOSS_MODES, TrainConfig, TrainingAborted, _openblas,
+                      evaluate, set_blas_threads, train)
 from .unet import UNetConfig, init_params
 
 DATA_ADDITION_FRACTIONS = (0.0, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0)
@@ -181,33 +180,6 @@ def _pool_width(n_cells: int) -> int:
     return max(1, min(cap, n_cells))
 
 
-def _openblas(name: str):
-    """`scipy_openblas_<name>` from numpy's bundled OpenBLAS (the 64-bit-int
-    build's symbol first), or None when the library or symbol is missing."""
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so"))):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for sym in (f"scipy_openblas_{name}64_", f"scipy_openblas_{name}"):
-            fn = getattr(lib, sym, None)
-            if fn is not None:
-                return fn
-    return None
-
-
-def _one_blas_thread() -> None:
-    """Pool initializer. A forked worker inherits the caller's OpenBLAS thread
-    count, so W workers would run W x cores BLAS threads on the cores and slow
-    each other down; each worker runs one instead. Does nothing when the
-    bundled library is missing."""
-    fn = _openblas("set_num_threads")
-    if fn is not None:
-        fn.argtypes, fn.restype = [ctypes.c_int], None
-        fn(1)
-
-
 def pool_runtime(n_cells: int) -> dict:
     """How `_run_cells` runs n_cells: the pool width, and the OpenBLAS threads
     of each pool worker (None when the cells run in the calling process, which
@@ -221,8 +193,11 @@ def _run_cells(fn, cells: list[tuple]) -> list[SweepRow]:
     width = _pool_width(len(cells))
     if width == 1:
         return [fn(c) for c in cells]
-    with ProcessPoolExecutor(max_workers=width,
-                             initializer=_one_blas_thread) as pool:
+    # a forked worker inherits the caller's OpenBLAS thread count, so W
+    # workers would run W x cores BLAS threads that slow each other down;
+    # each worker runs one instead
+    with ProcessPoolExecutor(max_workers=width, initializer=set_blas_threads,
+                             initargs=(1,)) as pool:
         return list(pool.map(fn, cells))
 
 

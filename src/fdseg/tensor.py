@@ -192,17 +192,23 @@ def backward(root: Tensor) -> None:
 
 
 # -- elementwise ops ----------------------------------------------------------
+# add/sub/mul/div compute no gradient for a parent that needs none (a mask or
+# a constant), which backward would drop; relu, log, clamp and sqrt build the
+# masks that only their backward reads inside grad_fn, so that a no_grad
+# forward never builds them
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.values + b.values
-    return Tensor(out, parents=(a, b), op="add",
-                  grad_fn=lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+    return Tensor(out, parents=(a, b), op="add", grad_fn=lambda g: (
+        _unbroadcast(g, a.shape) if a.requires_grad else None,
+        _unbroadcast(g, b.shape) if b.requires_grad else None))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.values - b.values
-    return Tensor(out, parents=(a, b), op="sub",
-                  grad_fn=lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
+    return Tensor(out, parents=(a, b), op="sub", grad_fn=lambda g: (
+        _unbroadcast(g, a.shape) if a.requires_grad else None,
+        _unbroadcast(-g, b.shape) if b.requires_grad else None))
 
 
 def neg(a: Tensor) -> Tensor:
@@ -211,18 +217,19 @@ def neg(a: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.values * b.values
-    return Tensor(out, parents=(a, b), op="mul",
-                  grad_fn=lambda g: (_unbroadcast(g * b.values, a.shape),
-                                     _unbroadcast(g * a.values, b.shape)))
+    return Tensor(out, parents=(a, b), op="mul", grad_fn=lambda g: (
+        _unbroadcast(g * b.values, a.shape) if a.requires_grad else None,
+        _unbroadcast(g * a.values, b.shape) if b.requires_grad else None))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     # a zero divisor gives inf/NaN, which _assert_finite and the trainer report
     with np.errstate(divide="ignore", invalid="ignore"):
         out = a.values / b.values
-    return Tensor(out, parents=(a, b), op="div",
-                  grad_fn=lambda g: (_unbroadcast(g / b.values, a.shape),
-                                     _unbroadcast(-g * a.values / (b.values ** 2), b.shape)))
+    return Tensor(out, parents=(a, b), op="div", grad_fn=lambda g: (
+        _unbroadcast(g / b.values, a.shape) if a.requires_grad else None,
+        _unbroadcast(-g * a.values / (b.values ** 2), b.shape)
+        if b.requires_grad else None))
 
 
 def square(a: Tensor) -> Tensor:
@@ -232,9 +239,8 @@ def square(a: Tensor) -> Tensor:
 
 def sqrt(a: Tensor) -> Tensor:
     root = np.sqrt(np.maximum(a.values, 0.0))
-    safe = np.maximum(root, 1e-12)
     return Tensor(root, parents=(a,), op="sqrt",
-                  grad_fn=lambda g: (g * 0.5 / safe,))
+                  grad_fn=lambda g: (g * 0.5 / np.maximum(root, 1e-12),))
 
 
 def exp(a: Tensor) -> Tensor:
@@ -245,15 +251,13 @@ def exp(a: Tensor) -> Tensor:
 def log(a: Tensor) -> Tensor:
     """Natural log with the argument clamped below at 1e-12."""
     clamped = np.maximum(a.values, LOG_CLAMP)
-    mask = (a.values >= LOG_CLAMP).astype(a.dtype)
-    return Tensor(np.log(clamped), parents=(a,), op="log",
-                  grad_fn=lambda g: (g * mask / clamped,))
+    return Tensor(np.log(clamped), parents=(a,), op="log", grad_fn=lambda g: (
+        g * (a.values >= LOG_CLAMP).astype(a.dtype) / clamped,))
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.values > 0
     return Tensor(np.maximum(a.values, 0), parents=(a,), op="relu",
-                  grad_fn=lambda g: (np.where(mask, g, 0),))
+                  grad_fn=lambda g: (np.where(a.values > 0, g, 0),))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -266,8 +270,8 @@ def sigmoid(a: Tensor) -> Tensor:
 
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     out = np.clip(a.values, lo, hi)
-    mask = ((a.values >= lo) & (a.values <= hi)).astype(a.dtype)
-    return Tensor(out, parents=(a,), op="clamp", grad_fn=lambda g: (g * mask,))
+    return Tensor(out, parents=(a,), op="clamp", grad_fn=lambda g: (
+        g * ((a.values >= lo) & (a.values <= hi)).astype(a.dtype),))
 
 
 # -- reductions / structure ---------------------------------------------------

@@ -3,7 +3,12 @@ selection on validation Dice, and evaluation metrics."""
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
+import glob
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -31,6 +36,9 @@ EVAL_THRESHOLD, EVAL_BATCH = 0.5, 16    # evaluate()'s foreground cut, chunk siz
 # evaluate()'s pixels per chunk: 32x32 images keep 16-sample chunks, larger
 # ones get fewer samples, so that each conv's patch matrix stays in cache
 EVAL_PIXELS = EVAL_BATCH * 32 * 32
+# the OpenBLAS calls fdseg makes: name -> (argtypes, restype)
+_BLAS_CALLS = {"get_num_threads": ([], ctypes.c_int),
+               "set_num_threads": ([ctypes.c_int], None)}
 
 
 @dataclass
@@ -214,34 +222,93 @@ def train(config: TrainConfig, model: UNet,
     return best_model, history
 
 
+@functools.cache
+def _openblas(name: str):
+    """`scipy_openblas_<name>` from numpy's bundled OpenBLAS (the 64-bit-int
+    build's symbol first), typed from _BLAS_CALLS, or None when the library
+    or symbol is missing. Looked up once per name and process."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for sym in (f"scipy_openblas_{name}64_", f"scipy_openblas_{name}"):
+            fn = getattr(lib, sym, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = _BLAS_CALLS[name]
+                return fn
+    return None
+
+
+def blas_threads() -> int:
+    """OpenBLAS threads in effect in this process; 1 when numpy's bundled
+    library is missing."""
+    get = _openblas("get_num_threads")
+    return get() if get is not None else 1
+
+
+def set_blas_threads(n: int) -> None:
+    """Set this process's OpenBLAS thread count; does nothing when numpy's
+    bundled library is missing."""
+    set_ = _openblas("set_num_threads")
+    if set_ is not None:
+        set_(n)
+
+
+def _evaluate_chunk(model: UNet, chunk: Sequence[SiteSample]) -> list[MetricsRecord]:
+    images, masks, _ = _batch_arrays(chunk)
+    pred, taps = model.forward(images)
+    s = feature_summary(taps[-1].activation, masks)
+    fds = neg_log_sq_norm(s.per_sample_fg - s.per_sample_bg, axis=3).values
+    hard = (pred.values > EVAL_THRESHOLD).astype(np.float64)
+    mv = masks.values.astype(np.float64)
+    records = []
+    for i, sample in enumerate(chunk):
+        inter = float((hard[i] * mv[i]).sum())
+        a, b = float(hard[i].sum()), float(mv[i].sum())
+        union = a + b - inter
+        dice = 2.0 * inter / (a + b) if a + b > 0 else 1.0
+        iou = inter / union if union > 0 else 1.0
+        records.append(MetricsRecord(sample_id=sample.id, dice=dice, iou=iou,
+                                     fd_last_decoder=float(fds[i, 0, 0, 0])))
+    return records
+
+
 def evaluate(model: UNet, dataset: Sequence[SiteSample]) -> list[MetricsRecord]:
     """Per-sample hard Dice/IoU at EVAL_THRESHOLD (ties -> background) plus
     the feature discrepancy of the last decoder tap against the true mask.
     The forward builds no graph; a chunk holds at most EVAL_BATCH samples and,
-    past its first sample, at most EVAL_PIXELS pixels."""
+    past its first sample, at most EVAL_PIXELS pixels.
+
+    The full chunks run on a thread pool, one thread per OpenBLAS thread and
+    at least two full chunks per thread, with OpenBLAS set to one thread
+    meanwhile: the kit's skinny GEMMs gain little from a second BLAS thread.
+    Otherwise (one OpenBLAS thread, as in a sweep worker, or too few chunks)
+    they run one after another. The short tail chunk runs last, on the
+    calling thread. A chunk gives the same bytes on any thread."""
     if not dataset:
         raise ContractError("evaluate requires a non-empty dataset")
     h, w = dataset[0].image.shape[:2]
     size = max(1, min(EVAL_BATCH, EVAL_PIXELS // (h * w)))
-    records: list[MetricsRecord] = []
-    for start in range(0, len(dataset), size):
-        chunk = dataset[start:start + size]
-        images, masks, _ = _batch_arrays(chunk)
-        with no_grad():
-            pred, taps = model.forward(images)
-        s = feature_summary(taps[-1].activation, masks)
-        fds = neg_log_sq_norm(s.per_sample_fg - s.per_sample_bg, axis=3).values
-        hard = (pred.values > EVAL_THRESHOLD).astype(np.float64)
-        mv = masks.values.astype(np.float64)
-        for i, sample in enumerate(chunk):
-            inter = float((hard[i] * mv[i]).sum())
-            a, b = float(hard[i].sum()), float(mv[i].sum())
-            union = a + b - inter
-            dice = 2.0 * inter / (a + b) if a + b > 0 else 1.0
-            iou = inter / union if union > 0 else 1.0
-            records.append(MetricsRecord(sample_id=sample.id, dice=dice, iou=iou,
-                                         fd_last_decoder=float(fds[i, 0, 0, 0])))
-    return records
+    chunks = [dataset[start:start + size]
+              for start in range(0, len(dataset), size)]
+    n_full = len(dataset) // size
+    threads = blas_threads()
+    width = min(threads, n_full // 2)
+    run = functools.partial(_evaluate_chunk, model)
+    with no_grad():
+        if width > 1:
+            set_blas_threads(1)
+            try:
+                with ThreadPoolExecutor(max_workers=width) as pool:
+                    parts = list(pool.map(run, chunks[:n_full]))
+            finally:
+                set_blas_threads(threads)
+            parts += map(run, chunks[n_full:])
+        else:
+            parts = list(map(run, chunks))
+    return [r for part in parts for r in part]
 
 
 def partition_worst_off(records: Sequence[MetricsRecord],

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fdseg.tensor import (ContractError, DimensionError, NonFiniteError, Tape,
-                          Tensor, backward, clamp, concat_channels, conv2d,
-                          exp, grad_check, index_batch, log, maxpool2d,
-                          no_grad, relu, sigmoid, sqrt, square, tsum, tmean,
-                          upsample_nearest)
+                          Tensor, add, backward, clamp, concat_channels,
+                          constant, conv2d, div, exp, grad_check, index_batch,
+                          log, maxpool2d, mul, no_grad, relu, sigmoid, sqrt,
+                          square, sub, tsum, tmean, upsample_nearest)
 from fdseg.unet import UNetConfig, _conv_layers, init_params
 
 
@@ -199,6 +199,16 @@ def test_conv2d_skips_dx_for_constant_input():
     assert dx is None and dk.shape == k.shape and db.shape == b.shape
     backward(tsum(out))
     assert x.grad is None and k.grad is not None and b.grad is not None
+
+
+@pytest.mark.parametrize("op", [add, sub, mul, div])
+def test_binary_op_computes_no_gradient_for_a_constant(op):
+    x = rand((2, 3, 3, 2), seed=11, lo=0.5, hi=1.0)
+    g = np.ones(x.shape, dtype=np.float32)
+    dx, dc = op(x, constant(0.5))._grad_fn(g)
+    assert dc is None and dx.shape == x.shape
+    dc, dx = op(constant(0.5), x)._grad_fn(g)
+    assert dc is None and dx.shape == x.shape
 
 
 # -- maxpool2d -------------------------------------------------------------------

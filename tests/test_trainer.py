@@ -2,6 +2,7 @@
 the significance test, and CSV emission."""
 import csv
 import math
+import threading
 import weakref
 
 import numpy as np
@@ -12,8 +13,9 @@ import fdseg.trainer
 from fdseg.data import BASE_SITE, SiteConfig, generate_site, split_dataset
 from fdseg.losses import fd_loss, feature_summary, neg_log_sq_norm
 from fdseg.tensor import ContractError, Tensor
-from fdseg.trainer import (LOSS_MODES, MetricsRecord, TrainConfig, evaluate,
-                           one_sample_t_test, partition_worst_off, train,
+from fdseg.trainer import (LOSS_MODES, MetricsRecord, TrainConfig, _openblas,
+                           blas_threads, evaluate, one_sample_t_test,
+                           partition_worst_off, set_blas_threads, train,
                            write_eval_csv, write_history_csv)
 from fdseg.unet import UNetConfig, init_params
 
@@ -307,6 +309,78 @@ def test_evaluate_chunk_is_capped_by_pixels_and_builds_no_graph(size, chunk):
 def test_evaluate_rejects_empty_dataset():
     with pytest.raises(ContractError):
         evaluate(tiny_model(), [])
+
+
+@pytest.fixture
+def two_blas_threads():
+    """OpenBLAS at two threads for the test, so that evaluate() takes its
+    thread pool on any machine; the caller's count is restored after."""
+    if _openblas("set_num_threads") is None:
+        pytest.skip("numpy's bundled OpenBLAS not found")
+    before = blas_threads()
+    set_blas_threads(2)
+    try:
+        yield
+    finally:
+        set_blas_threads(before)
+
+
+class ThreadSpy:
+    """A model that records (thread, batch size) per forward and raises on
+    the forward numbered `fail_at`."""
+
+    def __init__(self, model, fail_at=None):
+        self.model, self.config, self.fail_at = model, model.config, fail_at
+        self.calls = []
+
+    def forward(self, images):
+        self.calls.append((threading.get_ident(), images.shape[0]))
+        if len(self.calls) == self.fail_at:
+            raise ZeroDivisionError("forward failed")
+        return self.model.forward(images)
+
+
+def test_pooled_and_serial_evaluate_give_identical_records(two_blas_threads):
+    """Four full 4-sample chunks at 64x64 (two per thread) and a 2-sample tail:
+    the pool runs the full chunks off the calling thread, the tail last on it,
+    and the records equal a serial evaluate() with one OpenBLAS thread."""
+    samples = generate_site(BASE_SITE, 18, seed=44)
+    spy = ThreadSpy(init_params(UNetConfig(), seed=2))
+    pooled = evaluate(spy, samples)
+    me = threading.get_ident()
+    assert sorted(n for _, n in spy.calls) == [2, 4, 4, 4, 4]
+    assert spy.calls[-1] == (me, 2)
+    assert all(t != me for t, _ in spy.calls[:-1])
+    assert blas_threads() == 2
+
+    set_blas_threads(1)
+    spy.calls.clear()
+    serial = evaluate(spy, samples)
+    assert spy.calls == [(me, 4)] * 4 + [(me, 2)]
+    assert serial == pooled
+
+
+def test_evaluate_restores_blas_threads_and_grad_mode_when_a_chunk_raises(
+        two_blas_threads):
+    samples = generate_site(BASE_SITE, 16, seed=45)
+    spy = ThreadSpy(init_params(UNetConfig(base_channels=2), seed=0), fail_at=3)
+    with pytest.raises(ZeroDivisionError, match="forward failed"):
+        evaluate(spy, samples)
+    assert any(t != threading.get_ident() for t, _ in spy.calls)
+    assert blas_threads() == 2
+    weight = Tensor(np.ones((1, 1, 1, 1)), requires_grad=True)
+    assert (weight * 2.0).requires_grad
+
+
+def test_no_evaluate_pool_thread_outlives_the_call(two_blas_threads):
+    """A sweep forks its workers after evaluate() has run in the calling
+    process; no thread of evaluate()'s pool may be left for the fork."""
+    samples = generate_site(BASE_SITE, 16, seed=46)
+    spy = ThreadSpy(init_params(UNetConfig(base_channels=2), seed=0))
+    before = threading.active_count()
+    evaluate(spy, samples)
+    assert any(t != threading.get_ident() for t, _ in spy.calls)
+    assert threading.active_count() == before
 
 
 # -- worst-off partition --------------------------------------------------------------
