@@ -30,8 +30,9 @@ from .sweeps import (DATA_ADDITION_FRACTIONS, NOISE_SWEEP_GRID,
                      pool_runtime, read_sweep_csv, write_sweep_csv)
 from .report import write_sweep_chart
 from .tensor import ContractError, DimensionError
-from .theory import (MEDIATION_MIN_SAMPLES, lemma1_violation_rate,
-                     lemma2_gradient, mediation_mc, weight_norm_experiment)
+from .theory import (MEDIATION_MIN_SAMPLES, WEIGHT_NORM_D, WEIGHT_NORM_STEPS,
+                     lemma1_violation_rate, lemma2_gradient, mediation_mc,
+                     weight_norm_experiment)
 from .trainer import (LOSS_MODES, TrainConfig, TrainingAborted, evaluate, train,
                       write_eval_csv, write_history_csv)
 from .unet import UNetConfig, init_params, save_checkpoint
@@ -252,7 +253,8 @@ def _lemma_checks(cfg: dict, out: str) -> int:
     wn = weight_norm_experiment()
     ok_wn = all(nl < nlin for nl, nlin in zip(wn.norm_log, wn.norm_linear))
     failed |= not ok_wn
-    reports.append({"check": "weight_norm", "params": {"d": 4, "steps": 500},
+    reports.append({"check": "weight_norm",
+                    "params": {"d": WEIGHT_NORM_D, "steps": WEIGHT_NORM_STEPS},
                     "result": {"norm_log": wn.norm_log,
                                "norm_linear": wn.norm_linear,
                                "diverged": wn.diverged},

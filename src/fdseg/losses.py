@@ -79,6 +79,18 @@ class MaskedFeatureSummary:
     per_sample_bg: Tensor
 
 
+def _masked_mean(features: Tensor, weight: np.ndarray,
+                 count: np.ndarray) -> Tensor:
+    """Per-sample, per-channel mean (n,1,1,c) of features weighted by a 0/1
+    mask (n,h,w,1), as one node: the same (h, w) sum per sample and channel
+    that tsum(features * weight, axis=(1, 2)) takes, then / (count + eps)."""
+    denom = count.astype(features.dtype) + features.dtype.type(DICE_EPS)
+    total = (features.values * weight).sum(axis=(1, 2), keepdims=True)
+    return Tensor(total / denom, parents=(features,), op="masked_mean",
+                  grad_fn=lambda g: (
+                      np.broadcast_to(g / denom, features.shape) * weight,))
+
+
 def feature_summary(features: Tensor, mask: Tensor) -> MaskedFeatureSummary:
     n, h, w, c = features.shape
     if mask.shape != (n, h, w, 1):
@@ -86,12 +98,11 @@ def feature_summary(features: Tensor, mask: Tensor) -> MaskedFeatureSummary:
             f"mask {mask.shape} does not match feature resolution {features.shape}")
     _check_binary(mask)
     mv = mask.values
+    bv = 1.0 - mv
     fg_cnt = mv.sum(axis=(1, 2, 3), keepdims=True)          # (n,1,1,1), constant
-    bg_cnt = (1.0 - mv).sum(axis=(1, 2, 3), keepdims=True)
-    fg_cnt_t = Tensor(fg_cnt.astype(features.dtype))
-    bg_cnt_t = Tensor(bg_cnt.astype(features.dtype))
-    fg = tsum(features * mask, axis=(1, 2)) / (fg_cnt_t + DICE_EPS)
-    bg = tsum(features * (1.0 - mask), axis=(1, 2)) / (bg_cnt_t + DICE_EPS)
+    bg_cnt = bv.sum(axis=(1, 2, 3), keepdims=True)
+    fg = _masked_mean(features, mv, fg_cnt)
+    bg = _masked_mean(features, bv, bg_cnt)
     return MaskedFeatureSummary(
         fg_mean=tsum(fg, axis=0) * (1.0 / n),
         bg_mean=tsum(bg, axis=0) * (1.0 / n),

@@ -15,6 +15,8 @@ EPS = 1e-12
 LEMMA2_STEP = 1e-6          # central-difference step of lemma2_gradient
 SPECTRAL_TOL, SPECTRAL_MAX_ITER = 1e-6, 1000   # spectral_norm's stopping rule
 DX_SCALE = 0.38             # std of the weight-norm experiment's fg/bg inputs
+WEIGHT_NORM_D, WEIGHT_NORM_STEPS = 4, 500   # the experiment that lemma-checks runs
+SPECTRAL_CEILING = 1e6      # a weight entry above this counts as divergence
 MEDIATION_MIN_SAMPLES = 10_000
 
 
@@ -168,7 +170,8 @@ class WeightNormResult:
     diverged: list[bool] = field(default_factory=list)
 
 
-def weight_norm_experiment(d: int = 4, steps: int = 500, lr: float = 0.01,
+def weight_norm_experiment(d: int = WEIGHT_NORM_D,
+                           steps: int = WEIGHT_NORM_STEPS, lr: float = 0.01,
                            seeds: Sequence[int] = (0, 1, 2, 3, 4)
                            ) -> WeightNormResult:
     """Train a single Hadamard layer on a fixed foreground/background pair under
@@ -202,8 +205,8 @@ def weight_norm_experiment(d: int = 4, steps: int = 500, lr: float = 0.01,
     return result
 
 
-def spectral_ceiling_exceeded(w: np.ndarray, limit: float = 1e6) -> bool:
-    return bool(np.max(np.abs(w)) > limit)
+def spectral_ceiling_exceeded(w: np.ndarray) -> bool:
+    return bool(np.max(np.abs(w)) > SPECTRAL_CEILING)
 
 
 # -- mediation Monte Carlo -------------------------------------------------------

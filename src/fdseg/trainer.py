@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import special
 
 from .data import SiteSample, add_gaussian_noise, augment
 from .losses import (AlphaState, LossBreakdown, alpha_update, feature_summary,
@@ -344,6 +343,7 @@ def one_sample_t_test(baseline: float,
         shifted = runs[0] != baseline
         return (math.inf if shifted else 0.0, 0.0 if shifted else 1.0, True)
     t = (mean - baseline) / math.sqrt(var / n)
+    from scipy import special   # lazily: it more than doubles fdseg's import time
     p = 2.0 * float(special.stdtr(n - 1, -abs(t)))
     return t, p, False
 

@@ -9,11 +9,12 @@ import math
 import numpy as np
 import pytest
 
+import fdseg.losses
 from fdseg.losses import (AlphaState, MaskedFeatureSummary, alpha_update,
                           bce_loss, dice_loss, fd_exch_loss, fd_loss,
                           feature_summary, pool_mask, seg_loss, total_loss)
-from fdseg.tensor import ContractError, Tensor, backward, tsum
-from fdseg.unet import FeatureTap
+from fdseg.tensor import ContractError, Tape, Tensor, backward, tsum
+from fdseg.unet import FeatureTap, UNetConfig, init_params
 
 
 def tb(arr):
@@ -165,6 +166,102 @@ def test_feature_summary_resolution_mismatch():
     m = tb(binary_mask((1, 4, 4, 1), 0.5, seed=15))
     with pytest.raises(ContractError):
         feature_summary(f, m)
+
+
+def masked_mean_reference(features, mask):
+    """The feature_summary that the one-node masked means replaced: each
+    per-sample mean built from Tensor ops (mask product, (h, w) sum, divide
+    by count + eps), 20 nodes per call."""
+    n = features.shape[0]
+    mv = mask.values
+    fg_cnt = mv.sum(axis=(1, 2, 3), keepdims=True)
+    bg_cnt = (1.0 - mv).sum(axis=(1, 2, 3), keepdims=True)
+    fg_cnt_t = Tensor(fg_cnt.astype(features.dtype))
+    bg_cnt_t = Tensor(bg_cnt.astype(features.dtype))
+    fg = tsum(features * mask, axis=(1, 2)) / (fg_cnt_t + 1e-6)
+    bg = tsum(features * (1.0 - mask), axis=(1, 2)) / (bg_cnt_t + 1e-6)
+    return MaskedFeatureSummary(
+        fg_mean=tsum(fg, axis=0) * (1.0 / n), bg_mean=tsum(bg, axis=0) * (1.0 / n),
+        fg_count=float(fg_cnt.mean()), bg_count=float(bg_cnt.mean()),
+        per_sample_fg=fg, per_sample_bg=bg)
+
+
+def default_tap_shapes():
+    """(n, h, w, c, downsample factor) of each distinct tap of the default
+    U-Net at 32x32 and 64x64, batch 8."""
+    shapes = set()
+    for size in (32, 64):
+        model = init_params(UNetConfig(image_size=(size, size)), seed=0)
+        _, taps = model.forward(Tensor(np.zeros((8, size, size, 1), np.float32)))
+        shapes |= {t.activation.shape + (t.downsample_factor,) for t in taps}
+    return sorted(shapes)
+
+
+SUMMARY_CASES = ([(shape, "float32") for shape in default_tap_shapes()]
+                 + [((3, 8, 8, 5, 2), "float64")])
+
+
+def relu_features_and_mask(shape, dtype, seed):
+    n, h, w, c, factor = shape
+    rng = np.random.default_rng(seed)
+    f = np.maximum(rng.normal(size=(n, h, w, c)), 0.0).astype(dtype)
+    full = binary_mask((n, h * factor, w * factor, 1), 0.3, seed=seed + 1)
+    return f, pool_mask(tb(full), factor)
+
+
+@pytest.mark.parametrize("shape,dtype", SUMMARY_CASES, ids=str)
+def test_feature_summary_bytes_match_reference(shape, dtype):
+    f, mask = relu_features_and_mask(shape, dtype, seed=sum(shape))
+    new = feature_summary(Tensor(f, requires_grad=True), mask)
+    ref = masked_mean_reference(Tensor(f, requires_grad=True), mask)
+    for name in ("fg_mean", "bg_mean", "per_sample_fg", "per_sample_bg"):
+        a, b = getattr(new, name).values, getattr(ref, name).values
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert (new.fg_count, new.bg_count) == (ref.fg_count, ref.bg_count)
+
+
+SUMMARY_LOSSES = {
+    "fd": fd_loss,
+    "exch": lambda s: fd_exch_loss(s, shuffle_offset=1, seed=3)[0],
+    "fd+exch": lambda s: fd_loss(s) + fd_exch_loss(s, seed=4)[0],
+}
+
+
+@pytest.mark.parametrize("loss", SUMMARY_LOSSES)
+@pytest.mark.parametrize("shape,dtype", SUMMARY_CASES, ids=str)
+def test_feature_summary_gradient_bytes_match_reference(shape, dtype, loss):
+    f, mask = relu_features_and_mask(shape, dtype, seed=sum(shape) + 5)
+    grads = []
+    for summarize in (feature_summary, masked_mean_reference):
+        x = Tensor(f, requires_grad=True)
+        backward(SUMMARY_LOSSES[loss](summarize(x, mask)))
+        grads.append(x.grad)
+    assert grads[0].dtype == grads[1].dtype
+    assert grads[0].tobytes() == grads[1].tobytes()
+
+
+def test_feature_summary_means_are_one_node_each(monkeypatch):
+    """Each tap's per-sample means are one node each: a total_loss with fd and
+    fd_exch on every tap records 12 nodes per tap fewer than the 14 that the
+    reference's two means and their count tensors take."""
+    rng = np.random.default_rng(44)
+    pred = Tensor(rng.uniform(0.01, 0.99, size=(2, 8, 8, 1)))
+    target = tb(binary_mask((2, 8, 8, 1), 0.5, seed=45))
+    taps, pooled = fake_taps(seed=46)
+    state = AlphaState(np.array([0.3, 0.7, 0.5]), "active")
+
+    def count_nodes():
+        with Tape() as tape:
+            total_loss(pred, target, taps, pooled, state, exch_enabled=True)
+        return len(tape.nodes)
+
+    fused = count_nodes()
+    monkeypatch.setattr(fdseg.losses, "feature_summary", masked_mean_reference)
+    assert fused == count_nodes() - 12 * len(taps)
+    with Tape() as tape:
+        feature_summary(taps[0].activation, pooled[0])
+    assert [op for op, _, _ in tape.nodes].count("masked_mean") == 2
+    assert len(tape.nodes) == 8     # 2 means + 2 x (sum, constant, mul)
 
 
 # -- fd_loss -----------------------------------------------------------------------
