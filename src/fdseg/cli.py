@@ -33,8 +33,8 @@ from .tensor import ContractError, DimensionError
 from .theory import (MEDIATION_MIN_SAMPLES, WEIGHT_NORM_D, WEIGHT_NORM_STEPS,
                      lemma1_violation_rate, lemma2_gradient, mediation_mc,
                      weight_norm_experiment)
-from .trainer import (LOSS_MODES, TrainConfig, TrainingAborted, evaluate, train,
-                      write_eval_csv, write_history_csv)
+from .trainer import (LOSS_MODES, TrainConfig, TrainingAborted, blas_threads,
+                      evaluate, train, write_eval_csv, write_history_csv)
 from .unet import UNetConfig, init_params, save_checkpoint
 
 EXIT_OK = 0
@@ -172,7 +172,7 @@ def cmd_train(cfg: dict) -> Checked:
         write_eval_csv(os.path.join(out, "evaluation.csv"), records)
         print(f"test dice (mean): {np.mean([r.dice for r in records]):.4f}")
         return EXIT_OK
-    return job, None
+    return job, {"blas_threads": blas_threads()}
 
 
 def cmd_gen_data(cfg: dict) -> Checked:

@@ -5,7 +5,8 @@ from __future__ import annotations
 import csv
 import os
 import traceback
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -15,7 +16,7 @@ from .data import (BASE_SITE, DATA_SEED, NOVEL_SITE, SiteConfig, generate_site,
                    split_dataset)
 from .tensor import ContractError
 from .trainer import (LOSS_MODES, TrainConfig, TrainingAborted, _openblas,
-                      evaluate, set_blas_threads, train)
+                      evaluate, one_blas_thread, set_blas_threads, train)
 from .unet import UNetConfig, init_params
 
 DATA_ADDITION_FRACTIONS = (0.0, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0)
@@ -181,24 +182,54 @@ def _pool_width(n_cells: int) -> int:
 
 
 def pool_runtime(n_cells: int) -> dict:
-    """How `_run_cells` runs n_cells: the pool width, and the OpenBLAS threads
-    of each pool worker (None when the cells run in the calling process, which
-    keeps its own count, or when the bundled library is missing)."""
+    """How `_run_cells` runs n_cells: the pool width, which counts the calling
+    process, and the OpenBLAS threads of each process in the pool (None when
+    the cells run in the calling process alone, which keeps its own count, or
+    when the bundled library is missing)."""
     width = _pool_width(n_cells)
     pinned = width > 1 and _openblas("set_num_threads") is not None
     return {"pool_width": width, "worker_blas_threads": 1 if pinned else None}
 
 
 def _run_cells(fn, cells: list[tuple]) -> list[SweepRow]:
+    """fn of each cell, in cell order. A pool of width W > 1 is the calling
+    process and W - 1 forked workers; each takes the next cell from one queue
+    as it becomes free, so that no process idles while cells are left. A
+    cell that raises cancels the cells not yet taken, and the error
+    propagates once the cells already running have finished."""
     width = _pool_width(len(cells))
     if width == 1:
         return [fn(c) for c in cells]
+    queue, rows = deque(enumerate(cells)), [None] * len(cells)
+
+    def drain(run) -> None:
+        try:
+            while True:
+                try:
+                    i, cell = queue.popleft()
+                except IndexError:
+                    return
+                rows[i] = run(cell)
+        except BaseException:
+            queue.clear()
+            raise
+
     # a forked worker inherits the caller's OpenBLAS thread count, so W
-    # workers would run W x cores BLAS threads that slow each other down;
-    # each worker runs one instead
-    with ProcessPoolExecutor(max_workers=width, initializer=set_blas_threads,
+    # processes would run W x cores BLAS threads that slow each other down;
+    # each runs one instead, the caller until its cells are done
+    with ProcessPoolExecutor(max_workers=width - 1, initializer=set_blas_threads,
                              initargs=(1,)) as pool:
-        return list(pool.map(fn, cells))
+        pool.submit(int)        # forks every worker now, before a thread starts
+        with ThreadPoolExecutor(max_workers=width - 1) as waiters:
+            # one caller thread hands each worker its cells and waits on them
+            lanes = [waiters.submit(drain,
+                                    lambda c: pool.submit(fn, c).result())
+                     for _ in range(width - 1)]
+            with one_blas_thread():
+                drain(fn)
+            for lane in lanes:
+                lane.result()
+    return rows
 
 
 def data_addition_sweep(settings: SweepSettings,

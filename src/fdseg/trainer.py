@@ -2,6 +2,7 @@
 selection on validation Dice, and evaluation metrics."""
 from __future__ import annotations
 
+import contextlib
 import csv
 import ctypes
 import functools
@@ -255,6 +256,18 @@ def set_blas_threads(n: int) -> None:
         set_(n)
 
 
+@contextlib.contextmanager
+def one_blas_thread():
+    """OpenBLAS at one thread in this process for the block; the count it had
+    before is restored however the block ends."""
+    threads = blas_threads()
+    set_blas_threads(1)
+    try:
+        yield
+    finally:
+        set_blas_threads(threads)
+
+
 def _evaluate_chunk(model: UNet, chunk: Sequence[SiteSample]) -> list[MetricsRecord]:
     images, masks, _ = _batch_arrays(chunk)
     pred, taps = model.forward(images)
@@ -293,17 +306,12 @@ def evaluate(model: UNet, dataset: Sequence[SiteSample]) -> list[MetricsRecord]:
     chunks = [dataset[start:start + size]
               for start in range(0, len(dataset), size)]
     n_full = len(dataset) // size
-    threads = blas_threads()
-    width = min(threads, n_full // 2)
+    width = min(blas_threads(), n_full // 2)
     run = functools.partial(_evaluate_chunk, model)
     with no_grad():
         if width > 1:
-            set_blas_threads(1)
-            try:
-                with ThreadPoolExecutor(max_workers=width) as pool:
-                    parts = list(pool.map(run, chunks[:n_full]))
-            finally:
-                set_blas_threads(threads)
+            with one_blas_thread(), ThreadPoolExecutor(max_workers=width) as pool:
+                parts = list(pool.map(run, chunks[:n_full]))
             parts += map(run, chunks[n_full:])
         else:
             parts = list(map(run, chunks))

@@ -11,7 +11,7 @@ from fdseg.cli import (GEN_DATA_SETTINGS, SWEEP_SETTINGS, TRAIN_SETTINGS,
 from fdseg.data import BASE_SITE, NOVEL_SITE
 from fdseg.sweeps import (SweepResult, SweepRow, SweepSettings, read_sweep_csv,
                           write_sweep_csv)
-from fdseg.trainer import TrainConfig
+from fdseg.trainer import TrainConfig, blas_threads, set_blas_threads
 from fdseg.unet import UNetConfig
 from fdseg.report import sweep_chart_svg, write_sweep_chart
 
@@ -45,6 +45,19 @@ def test_train_refuses_existing_run_without_force(tmp_path):
     assert main(args) == 0
     assert main(args) == 2
     assert main(args + ["--force"]) == 0
+
+
+def test_train_manifest_records_blas_threads(tmp_path):
+    out = str(tmp_path / "run")
+    before = blas_threads()
+    set_blas_threads(1)
+    try:
+        assert main(["train", "--out", out, "--loss", "seg_only"]
+                    + FAST_TRAIN) == 0
+    finally:
+        set_blas_threads(before)
+    with open(os.path.join(out, "manifest.json")) as fh:
+        assert json.load(fh)["runtime"] == {"blas_threads": 1}
 
 
 def test_manifest_captures_resolved_config(tmp_path):

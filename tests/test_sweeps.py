@@ -1,9 +1,14 @@
 """Tests for the sweep cells and the pool that runs them: site generation per
-cell, failing cells, the worker count and the workers' BLAS threads."""
+cell, failing cells, the worker count, the processes that run the cells and
+their BLAS threads."""
 import ctypes
 import dataclasses
 import math
+import multiprocessing
 import os
+import sys
+import threading
+import time
 
 import pytest
 
@@ -13,7 +18,9 @@ from fdseg.sweeps import (SweepSettings, _openblas, _run_cells, check_settings,
                           data_addition_sweep, noise_sweep, pool_runtime,
                           run_data_addition_cell, write_sweep_csv)
 from fdseg.tensor import ContractError
-from fdseg.trainer import TrainingAborted
+from fdseg.trainer import TrainingAborted, blas_threads, set_blas_threads
+
+CALLER = os.getpid()      # a forked worker inherits this value, not the pid
 
 
 def test_capped_cell_generates_each_site_once(monkeypatch):
@@ -92,6 +99,80 @@ def test_pool_workers_run_one_blas_thread(monkeypatch):
     before = _blas_threads()
     assert _run_cells(_blas_threads, [(), ()]) == [1, 1]
     assert _blas_threads() == before             # the caller is left alone
+
+
+def _slow_pid(args) -> int:
+    time.sleep(0.1)
+    return os.getpid()
+
+
+def test_caller_runs_cells_beside_the_workers(monkeypatch):
+    monkeypatch.setenv("FDSEG_WORKERS", "2")
+    pids = set(_run_cells(_slow_pid, [()] * 4))
+    assert len(pids) == 2 and CALLER in pids
+    assert multiprocessing.active_children() == []
+
+
+def _sleep_then_echo(args) -> int:
+    i, delay = args
+    time.sleep(delay)
+    return i
+
+
+def test_rows_keep_cell_order_when_cells_take_unequal_time(monkeypatch):
+    monkeypatch.setenv("FDSEG_WORKERS", "2")
+    delays = (0.3, 0.0, 0.0, 0.15, 0.0, 0.05, 0.0)
+    assert _run_cells(_sleep_then_echo, list(enumerate(delays))) == \
+        list(range(len(delays)))
+
+
+def test_no_cell_is_lost_under_contention(monkeypatch):
+    monkeypatch.setenv("FDSEG_WORKERS", "4")    # more processes than cores
+    cells = [(i, 0.0) for i in range(300)]
+    rows = []
+    runner = threading.Thread(
+        target=lambda: rows.extend(_run_cells(_sleep_then_echo, cells)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert rows == list(range(len(cells)))
+
+
+def _fail_in(args) -> int:
+    where, log, i = args
+    if (os.getpid() == CALLER) == (where == "caller"):
+        raise RuntimeError(f"cell {i} at {blas_threads()} BLAS threads")
+    time.sleep(0.2)
+    with open(log, "a", encoding="utf-8") as fh:
+        fh.write(f"{i}\n")
+    return i
+
+
+@pytest.mark.parametrize("where", ["caller", "worker"])
+def test_raising_cell_cancels_queued_cells_and_propagates(monkeypatch, tmp_path,
+                                                          where):
+    monkeypatch.setenv("FDSEG_WORKERS", "2")
+    log = str(tmp_path / "ran")
+    before = blas_threads()
+    set_blas_threads(2)
+    try:
+        with pytest.raises(RuntimeError, match="at 1 BLAS threads"):
+            _run_cells(_fail_in, [(where, log, i) for i in range(20)])
+        settable = _openblas("set_num_threads") is not None
+        assert blas_threads() == (2 if settable else 1)
+    finally:
+        set_blas_threads(before)
+    ran = []
+    if os.path.exists(log):
+        with open(log, encoding="utf-8") as fh:
+            ran = fh.read().split()
+    assert len(ran) <= 2                  # the other process stopped at once
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("workers,cells,width", [("1", 5, 1), ("2", 5, 2),
