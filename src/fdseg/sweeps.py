@@ -16,7 +16,7 @@ from .data import (BASE_SITE, DATA_SEED, NOVEL_SITE, SiteConfig, generate_site,
                    split_dataset)
 from .tensor import ContractError
 from .trainer import (LOSS_MODES, TrainConfig, TrainingAborted, _openblas,
-                      evaluate, one_blas_thread, set_blas_threads, train)
+                      evaluate, one_blas_thread, train)
 from .unet import UNetConfig, init_params
 
 DATA_ADDITION_FRACTIONS = (0.0, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0)
@@ -183,9 +183,9 @@ def _pool_width(n_cells: int) -> int:
 
 def pool_runtime(n_cells: int) -> dict:
     """How `_run_cells` runs n_cells: the pool width, which counts the calling
-    process, and the OpenBLAS threads of each process in the pool (None when
-    the cells run in the calling process alone, which keeps its own count, or
-    when the bundled library is missing)."""
+    process, and the OpenBLAS threads of each process in the pool: 1, which
+    the workers inherit from the caller, or None when the cells run in the
+    caller alone (it keeps its own count) or numpy's OpenBLAS is missing."""
     width = _pool_width(n_cells)
     pinned = width > 1 and _openblas("set_num_threads") is not None
     return {"pool_width": width, "worker_blas_threads": 1 if pinned else None}
@@ -214,19 +214,16 @@ def _run_cells(fn, cells: list[tuple]) -> list[SweepRow]:
             queue.clear()
             raise
 
-    # a forked worker inherits the caller's OpenBLAS thread count, so W
-    # processes would run W x cores BLAS threads that slow each other down;
-    # each runs one instead, the caller until its cells are done
-    with ProcessPoolExecutor(max_workers=width - 1, initializer=set_blas_threads,
-                             initargs=(1,)) as pool:
+    # each process runs one OpenBLAS thread, or W would run W x cores; the
+    # workers inherit it and never set it (see one_blas_thread for why)
+    with one_blas_thread(), ProcessPoolExecutor(max_workers=width - 1) as pool:
         pool.submit(int)        # forks every worker now, before a thread starts
         with ThreadPoolExecutor(max_workers=width - 1) as waiters:
             # one caller thread hands each worker its cells and waits on them
             lanes = [waiters.submit(drain,
                                     lambda c: pool.submit(fn, c).result())
                      for _ in range(width - 1)]
-            with one_blas_thread():
-                drain(fn)
+            drain(fn)
             for lane in lanes:
                 lane.result()
     return rows

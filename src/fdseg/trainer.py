@@ -259,7 +259,10 @@ def set_blas_threads(n: int) -> None:
 @contextlib.contextmanager
 def one_blas_thread():
     """OpenBLAS at one thread in this process for the block; the count it had
-    before is restored however the block ends."""
+    before is restored however the block ends. A process forked inside the
+    block inherits the one thread and must not call set_blas_threads itself:
+    OpenBLAS restarts its thread pool on the first set after a fork, and the
+    new idle thread spins beside the work."""
     threads = blas_threads()
     set_blas_threads(1)
     try:

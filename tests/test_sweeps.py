@@ -200,6 +200,40 @@ def test_pool_and_serial_sweeps_write_identical_rows(monkeypatch, tmp_path):
     assert blobs[0].count(b",ok\r\n") == 4
 
 
+def test_pooled_and_serial_noise_sweeps_write_identical_rows(monkeypatch,
+                                                           tmp_path):
+    blobs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("FDSEG_WORKERS", workers)
+        result = noise_sweep(TINY, sigmas=(0.2,), loss_modes=("seg+fd",),
+                             seeds=(0, 1))
+        path = os.path.join(tmp_path, f"workers{workers}.csv")
+        write_sweep_csv(path, result)
+        with open(path, "rb") as fh:
+            blobs.append(fh.read())
+    assert blobs[0] == blobs[1]
+    assert blobs[0].count(b",ok\r\n") == 2
+
+
+def _os_threads(args) -> tuple[int, int]:
+    time.sleep(0.05)
+    with open("/proc/self/status", encoding="ascii") as fh:
+        threads = next(int(line.split()[1]) for line in fh
+                       if line.startswith("Threads:"))
+    return os.getpid(), threads
+
+
+def test_forked_workers_start_no_blas_thread(monkeypatch):
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("no /proc to count a process's threads")
+    if _openblas("set_num_threads") is None:
+        pytest.skip("numpy's bundled OpenBLAS not found")
+    monkeypatch.setenv("FDSEG_WORKERS", "2")
+    rows = _run_cells(_os_threads, [()] * 4)
+    worker_threads = [threads for pid, threads in rows if pid != CALLER]
+    assert worker_threads and set(worker_threads) == {1}
+
+
 @pytest.mark.parametrize("conditions,modes,seeds,repeated", [
     ((0.0, 0.1, 0.0), ("seg_only",), (0,), "condition 0.0"),
     ((0.0,), ("seg_only", "seg+fd", "seg_only"), (0,), "loss mode 'seg_only'"),
