@@ -13,7 +13,6 @@ from .tensor import ContractError
 
 EPS = 1e-12
 LEMMA2_STEP = 1e-6          # central-difference step of lemma2_gradient
-SPECTRAL_TOL, SPECTRAL_MAX_ITER = 1e-6, 1000   # spectral_norm's stopping rule
 DX_SCALE = 0.38             # std of the weight-norm experiment's fg/bg inputs
 WEIGHT_NORM_D, WEIGHT_NORM_STEPS = 4, 500   # the experiment that lemma-checks runs
 SPECTRAL_CEILING = 1e6      # a weight entry above this counts as divergence
@@ -143,24 +142,9 @@ def lemma2_gradient(w: np.ndarray, dx: np.ndarray) -> Lemma2Report:
                         scale_w_ratio_error=w_err)
 
 
-def spectral_norm(w: np.ndarray, seed: int = 0) -> float:
-    """Largest singular value by power iteration on W^T W."""
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=w.shape[1])
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    for _ in range(SPECTRAL_MAX_ITER):
-        u = w @ v
-        v_new = w.T @ u
-        norm = np.linalg.norm(v_new)
-        if norm == 0:
-            return 0.0
-        v = v_new / norm
-        sigma = math.sqrt(norm)
-        if abs(sigma - prev) <= SPECTRAL_TOL * max(sigma, 1.0):
-            return sigma
-        prev = sigma
-    return prev
+def spectral_norm(w: np.ndarray) -> float:
+    """Largest singular value (the matrix 2-norm)."""
+    return float(np.linalg.norm(w, 2))
 
 
 @dataclass
@@ -196,17 +180,14 @@ def weight_norm_experiment(d: int = WEIGHT_NORM_D,
         for _ in range(steps):
             w_log = w_log - lr * _log_sep_grad(w_log, dx)
             w_lin = w_lin - lr * (-2.0 * (w_lin * dx) * dx)
-            if spectral_ceiling_exceeded(w_lin) or spectral_ceiling_exceeded(w_log):
+            if (np.max(np.abs(w_lin)) > SPECTRAL_CEILING
+                    or np.max(np.abs(w_log)) > SPECTRAL_CEILING):
                 diverged = True
                 break
-        result.norm_log.append(spectral_norm(w_log, seed=seed))
-        result.norm_linear.append(spectral_norm(w_lin, seed=seed))
+        result.norm_log.append(spectral_norm(w_log))
+        result.norm_linear.append(spectral_norm(w_lin))
         result.diverged.append(diverged)
     return result
-
-
-def spectral_ceiling_exceeded(w: np.ndarray) -> bool:
-    return bool(np.max(np.abs(w)) > SPECTRAL_CEILING)
 
 
 # -- mediation Monte Carlo -------------------------------------------------------

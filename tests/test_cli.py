@@ -315,6 +315,17 @@ def test_lemma_checks_pass_and_report(tmp_path):
     assert 1.95 <= by_check["mediation"]["result"]["var_hat"] <= 2.05
 
 
+def test_lemma_checks_rerun_from_manifest_reproduces_report_bytes(tmp_path):
+    out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
+    assert main(["lemma-checks", "--out", out1, "--seed", "2"]) == 0
+    assert main(["lemma-checks", "--config", os.path.join(out1, "manifest.json"),
+                 "--out", out2]) == 0
+    for name in ("manifest.json", "lemma_reports.json"):
+        with open(os.path.join(out1, name), "rb") as a, \
+                open(os.path.join(out2, name), "rb") as b:
+            assert a.read() == b.read(), name
+
+
 def test_report_regenerates_svg(tmp_path):
     result = SweepResult(rows=[
         SweepRow(0.0, 0, "seg_only", 0.90, 0.82),

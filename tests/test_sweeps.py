@@ -71,6 +71,26 @@ def test_failing_cell_becomes_its_row(monkeypatch):
     assert list(result.aggregate()) == [(0.0, "seg_only")]
 
 
+def test_failing_data_addition_cell_becomes_its_row(monkeypatch):
+    monkeypatch.setenv("FDSEG_WORKERS", "1")
+    real = fdseg.sweeps.train
+
+    def failing_on_seed_1(cfg, model, splits):
+        if cfg.seed == 1:
+            raise RuntimeError("boom")
+        return real(cfg, model, splits)
+
+    monkeypatch.setattr(fdseg.sweeps, "train", failing_on_seed_1)
+    result = data_addition_sweep(TINY, fractions=(0.0, 1.0),
+                                 loss_modes=("seg_only",), seeds=(0, 1))
+    status = {(r.condition, r.seed): r.status for r in result.rows}
+    assert status == {(0.0, 0): "ok", (0.0, 1): "error: RuntimeError: boom",
+                      (1.0, 0): "ok", (1.0, 1): "error: RuntimeError: boom"}
+    for r in result.rows:
+        scores = (r.test_dice_base, r.test_iou_base)
+        assert all(map(math.isnan, scores)) == (r.seed == 1)
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-1"])
 def test_bad_worker_count_is_rejected_before_any_process(monkeypatch, value):
     monkeypatch.setenv("FDSEG_WORKERS", value)

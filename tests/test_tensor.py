@@ -400,6 +400,24 @@ def test_gradients_match_finite_differences(name):
         assert grad_check(fn, Tensor(xv)) < 1e-3, f"{name} seed {seed}"
 
 
+_FULL = Tensor(np.random.default_rng(98).uniform(
+    0.5, 1.5, size=(2, 4, 4, 2)))
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1, 2), (1, 1, 1, 1)])
+@pytest.mark.parametrize("left", [True, False])
+@pytest.mark.parametrize("op", [add, sub, mul, div])
+def test_broadcast_operand_gradient_sums_over_broadcast_axes(op, left, shape):
+    """A broadcast operand that needs a gradient gets the sum over the axes it
+    was broadcast along, on either side of the op."""
+    def fn(t):
+        a, b = (t, _FULL) if left else (_FULL, t)
+        return tsum(square(op(a, b)))
+
+    xv = np.random.default_rng(97).uniform(0.5, 1.5, size=shape)
+    assert grad_check(fn, Tensor(xv)) < 1e-3
+
+
 def test_index_batch_gather_and_scatter():
     x = rand((4, 1, 1, 3), seed=13)
     idx = np.array([2, 2, 0, 1])

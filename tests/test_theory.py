@@ -103,6 +103,17 @@ def test_spectral_norm_diagonal():
     assert spectral_norm(np.diag([3.0, 1.0, -7.0])) == pytest.approx(7.0, rel=1e-6)
 
 
+def test_spectral_norm_exact_with_close_top_singular_values():
+    """Close top singular values slow a power iteration's convergence; the
+    reported norm must still be the largest singular value."""
+    q, _ = np.linalg.qr(np.random.default_rng(4).normal(size=(3, 3)))
+    for top in ([1.0, 0.99, 0.5], [2.0, 1.999, 0.1]):
+        d = np.diag(top)
+        for w in (d, q @ d @ q.T):
+            assert spectral_norm(w) == pytest.approx(
+                np.linalg.svd(w, compute_uv=False)[0], rel=1e-12)
+
+
 # -- weight norm experiment ------------------------------------------------------------
 
 def test_weight_norm_needs_five_seeds():

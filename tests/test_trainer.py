@@ -4,6 +4,7 @@ import csv
 import math
 import threading
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -91,6 +92,28 @@ def test_step_graph_freed_before_next_step(monkeypatch):
               tiny_model(), data)
         assert len(alive) > 2, mode
         assert alive == [0] * len(alive), mode
+
+
+def test_augmented_epoch_runs_each_sample_five_times(monkeypatch):
+    """With augmentation every training sample enters each epoch once per
+    transform (five times), and the epoch's step count follows the 5x set."""
+    real = fdseg.trainer._sgd_step
+    batches = []
+
+    def spy(model, opt, batch, *args):
+        batches.append([s.id for s in batch])
+        return real(model, opt, batch, *args)
+
+    monkeypatch.setattr(fdseg.trainer, "_sgd_step", spy)
+    data = tiny_datasets()
+    cfg = quick_config(phase1_epochs=1, phase2_epochs=1, augment_train=True)
+    train(cfg, tiny_model(), data)
+    n, b = len(data["train"]), cfg.batch_size
+    steps = math.ceil(5 * n / b)
+    assert len(batches) == 2 * steps
+    for epoch in (batches[:steps], batches[steps:]):
+        assert Counter(i for batch in epoch for i in batch) \
+            == {s.id: 5 for s in data["train"]}
 
 
 # -- determinism and warm-start equivalence --------------------------------------------
