@@ -14,9 +14,9 @@ import numpy as np
 
 from .data import (BASE_SITE, DATA_SEED, NOVEL_SITE, SiteConfig, generate_site,
                    split_dataset)
-from .tensor import ContractError
-from .trainer import (LOSS_MODES, TrainConfig, TrainingAborted, _openblas,
-                      evaluate, one_blas_thread, train)
+from .tensor import ContractError, _openblas
+from .trainer import (LOSS_MODES, TrainConfig, TrainingAborted, evaluate,
+                      one_blas_thread, train)
 from .unet import UNetConfig, init_params
 
 DATA_ADDITION_FRACTIONS = (0.0, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0)

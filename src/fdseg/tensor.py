@@ -7,12 +7,24 @@ and its losses need are implemented.
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
+import glob
 import itertools
+import os
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 LOG_CLAMP = 1e-12
+# the OpenBLAS calls fdseg makes: name -> (symbol stem, types for the build's
+# integer -> (argtypes, restype))
+_F, _P = ctypes.c_float, ctypes.c_void_p
+_BLAS_CALLS = {
+    "get_num_threads": ("openblas_", lambda i: ([], ctypes.c_int)),
+    "set_num_threads": ("openblas_", lambda i: ([ctypes.c_int], None)),
+    "sgemm": ("cblas_", lambda i: ([ctypes.c_int] * 3 + [i] * 3
+                                   + [_F, _P, i, _P, i, _F, _P, i], None))}
 
 _ids = itertools.count()
 _grad_enabled = True
@@ -191,6 +203,45 @@ def backward(root: Tensor) -> None:
             parent.grad = g if parent.grad is None else parent.grad + g
 
 
+@functools.cache
+def _openblas(name: str):
+    """`scipy_<stem><name>` from numpy's bundled OpenBLAS (the 64-bit-int
+    build's symbol first), typed from _BLAS_CALLS, or None when the library
+    or symbol is missing. Looked up once per name and process."""
+    stem, types = _BLAS_CALLS[name]
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for suffix, blasint in (("64_", ctypes.c_int64), ("", ctypes.c_int)):
+            fn = getattr(lib, f"scipy_{stem}{name}{suffix}", None)
+            if fn is not None:
+                fn.argtypes, fn.restype = types(blasint)
+                return fn
+    return None
+
+
+def _add_shifted_products(c: np.ndarray, a: np.ndarray, kernels: np.ndarray,
+                          shifts: Sequence[int]) -> None:
+    """c[s:] += a[:len(a) - s] @ kernel.T for each kernel and shift s in turn,
+    with a and c 2-D row matrices. When all are C-contiguous float32 and k, n
+    > 1 (numpy's sgemm case), each is one OpenBLAS sgemm with beta = 1, which
+    adds the product into c instead of storing it first."""
+    (rows, k), n = a.shape, kernels.shape[1]
+    sgemm = _openblas("sgemm")
+    if sgemm is None or min(k, n) == 1 or not all(
+            t.dtype == np.float32 and t.flags.c_contiguous for t in (a, kernels, c)):
+        for kern, s in zip(kernels, shifts):
+            c[s:] += a[:rows - s] @ kern.T
+        return
+    pa, pk, pc = a.ctypes.data, kernels.ctypes.data, c.ctypes.data
+    for t, s in enumerate(shifts):   # row-major (101), a (111), kernel.T (112)
+        sgemm(101, 111, 112, rows - s, n, k, 1.0, pa, k, pk + 4 * t * n * k, k,
+              1.0, pc + 4 * s * n, n)
+
+
 # -- elementwise ops ----------------------------------------------------------
 # add/sub/mul/div compute no gradient for a parent that needs none (a mask or
 # a constant), which backward would drop; relu, log, clamp and sqrt build the
@@ -359,12 +410,16 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
             return None, dk, db
         if kh == kw == 1:
             return (g2d @ kernel.values[0, 0].T).reshape(n, h, w, cin), dk, db
-        # one GEMM over cout per kernel offset, scattered in (i, j) order
-        dxp = np.zeros((n, h + 2 * ph, w + 2 * pw, cin), dtype=x.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                dxp[:, i:i + h, j:j + w, :] += (
-                    g2d @ kernel.values[i, j].T).reshape(n, h, w, cin)
+        # one GEMM over cout per kernel offset, added in (i, j) order: as row
+        # matrices, g's pixel (y, x) in gp shifted by i*wp + j rows is dxp's
+        # (y+i, x+j), and the rows shifted out of gp are padding (zeros)
+        hp, wp = h + 2 * ph, w + 2 * pw
+        gp = np.zeros((n, hp, wp, cout), dtype=g.dtype)
+        gp[:, :h, :w] = g
+        dxp = np.zeros((n, hp, wp, cin), dtype=x.dtype)
+        _add_shifted_products(dxp.reshape(-1, cin), gp.reshape(-1, cout),
+                              kernel.values.reshape(kh * kw, cin, cout),
+                              [i * wp + j for i in range(kh) for j in range(kw)])
         dx = dxp[:, ph:ph + h, pw:pw + w, :]
         return dx, dk, db
 

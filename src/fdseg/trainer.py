@@ -4,11 +4,8 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import ctypes
 import functools
-import glob
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -20,7 +17,7 @@ from .losses import (AlphaState, LossBreakdown, alpha_update, feature_summary,
                      neg_log_sq_norm, pool_mask, total_loss)
 # perfbench/spans.py wraps fdseg.trainer.fd_loss, so the name stays importable.
 from .losses import fd_loss  # noqa: F401
-from .tensor import Tensor, ContractError, backward, no_grad
+from .tensor import Tensor, ContractError, _openblas, backward, no_grad
 from .unet import UNet
 
 # loss mode -> (per-tap fd penalty on, fd_exch added to it): the objective
@@ -36,9 +33,6 @@ EVAL_THRESHOLD, EVAL_BATCH = 0.5, 16    # evaluate()'s foreground cut, chunk siz
 # evaluate()'s pixels per chunk: 32x32 images keep 16-sample chunks, larger
 # ones get fewer samples, so that each conv's patch matrix stays in cache
 EVAL_PIXELS = EVAL_BATCH * 32 * 32
-# the OpenBLAS calls fdseg makes: name -> (argtypes, restype)
-_BLAS_CALLS = {"get_num_threads": ([], ctypes.c_int),
-               "set_num_threads": ([ctypes.c_int], None)}
 
 
 @dataclass
@@ -220,25 +214,6 @@ def train(config: TrainConfig, model: UNet,
             val_dice=val_dice))
 
     return best_model, history
-
-
-@functools.cache
-def _openblas(name: str):
-    """`scipy_openblas_<name>` from numpy's bundled OpenBLAS (the 64-bit-int
-    build's symbol first), typed from _BLAS_CALLS, or None when the library
-    or symbol is missing. Looked up once per name and process."""
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so"))):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for sym in (f"scipy_openblas_{name}64_", f"scipy_openblas_{name}"):
-            fn = getattr(lib, sym, None)
-            if fn is not None:
-                fn.argtypes, fn.restype = _BLAS_CALLS[name]
-                return fn
-    return None
 
 
 def blas_threads() -> int:

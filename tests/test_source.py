@@ -64,6 +64,14 @@ def test_import_loads_only_numpy_and_the_standard_library():
     assert others <= {"fdseg", "numpy", "__mp_main__"}, sorted(others)
 
 
+def test_import_resolves_no_blas_symbol():
+    out = fresh_interpreter(
+        "import fdseg.cli\n"
+        "from fdseg.tensor import _openblas\n"
+        "print(_openblas.cache_info().currsize)\n")
+    assert out.strip() == "0"
+
+
 def test_t_test_imports_scipy_when_called():
     runs = (0.91, 0.87, 0.95, 0.90, 0.88)
     out = fresh_interpreter(

@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from fdseg import tensor
 from fdseg.tensor import (ContractError, DimensionError, NonFiniteError, Tape,
                           Tensor, add, backward, clamp, concat_channels,
                           constant, conv2d, div, exp, grad_check, index_batch,
                           log, maxpool2d, mul, no_grad, relu, sigmoid, sqrt,
                           square, sub, tsum, tmean, upsample_nearest)
+from fdseg.trainer import blas_threads, set_blas_threads
 from fdseg.unet import UNetConfig, _conv_layers, init_params
 
 
@@ -135,13 +137,14 @@ def im2col_conv_reference(x, k, b, g):
     return out, dxp[:, ph:ph + h, pw:pw + w, :], dk, db
 
 
-def unet_conv_cases():
+def unet_conv_cases(runs=((32, 8), (64, 16)), **config):
     """(size, batch, layer name, kh, kw, cin, cout, side) for every conv of the
-    default U-Net at 32x32/batch 8 and 64x64/batch 16; side is the spatial
+    U-Net (default unless `config` says otherwise) at each (size, batch) of
+    `runs`, by default 32x32/batch 8 and 64x64/batch 16; side is the spatial
     size the layer sees."""
     cases = []
-    for size, batch in ((32, 8), (64, 16)):
-        cfg = UNetConfig(image_size=(size, size))
+    for size, batch in runs:
+        cfg = UNetConfig(image_size=(size, size), **config)
         for name, kh, kw, cin, cout in _conv_layers(cfg):
             part, level = name[:3], int(name[3]) if name[3].isdigit() else 0
             side = size >> {"enc": level - 1, "bot": cfg.depth,
@@ -174,7 +177,94 @@ def test_conv2d_bytes_match_im2col_reference(size, batch, name, kh, kw, cin,
         np.testing.assert_allclose(dx, ref_dx, rtol=1e-5, atol=1e-6)
 
 
-@pytest.mark.parametrize("kshape", [(1, 1, 3, 2), (3, 3, 3, 2)])
+def conv_inputs(batch, h, w, kh, kw, cin, cout, seed):
+    """float32 x (with relu-style exact zeros), kernel, bias and upstream
+    gradient for one conv."""
+    rng = np.random.default_rng(seed)
+    xv = rng.uniform(-1, 1, size=(batch, h, w, cin)).astype(np.float32)
+    xv[xv < -0.4] = 0.0
+    kv = rng.uniform(-0.3, 0.3, size=(kh, kw, cin, cout)).astype(np.float32)
+    bv = rng.uniform(-0.1, 0.1, size=(1, 1, 1, cout)).astype(np.float32)
+    gv = rng.uniform(-1, 1, size=(batch, h, w, cout)).astype(np.float32)
+    return xv, kv, bv, gv
+
+
+def conv_with_grads(xv, kv, bv, gv):
+    """(out, dx, dk, db) of conv2d for the upstream gradient gv."""
+    out = conv2d(Tensor(xv, requires_grad=True), Tensor(kv, requires_grad=True),
+                 Tensor(bv, requires_grad=True))
+    return (out.values,) + tuple(out._grad_fn(gv))
+
+
+def unet_case_shape(case):
+    """(batch, h, w, kh, kw, cin, cout) of a unet_conv_cases() entry."""
+    _, batch, _, kh, kw, cin, cout, side = case
+    return batch, side, side, kh, kw, cin, cout
+
+
+# (batch, h, w, kh, kw, cin, cout) that the default U-Net cases miss: every
+# depth-3 48 px conv at the ragged batches 5 and 7, a non-square input, and
+# kernels with ph != pw or 5x5
+MORE_CONV_SHAPES = [unet_case_shape(c) for c in
+                    unet_conv_cases(((48, 5), (48, 7)), depth=3)] + [
+    (3, 24, 40, 3, 3, 4, 6), (2, 24, 40, 3, 5, 3, 4),
+    (3, 9, 11, 5, 3, 5, 2), (5, 8, 8, 5, 5, 6, 7)]
+
+
+@pytest.mark.parametrize("shape", MORE_CONV_SHAPES, ids=str)
+def test_conv2d_bytes_match_im2col_reference_beyond_unet_cases(shape):
+    xv, kv, bv, gv = conv_inputs(*shape, seed=sum(shape))
+    got = conv_with_grads(xv, kv, bv, gv)
+    ref = im2col_conv_reference(xv, kv, bv, gv)
+    for name, a, b in zip(("out", "dx", "dk", "db"), got, ref):
+        if name == "dx" and shape[5] == 1:   # matrix-vector path, as above
+            np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-6)
+        else:
+            assert a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("case", unet_conv_cases(), ids=str)
+def test_conv2d_dx_numpy_fallback_matches_blas_bytes(monkeypatch, case):
+    inputs = conv_inputs(*unet_case_shape(case), seed=case[0] + case[5])
+    blas_dx = conv_with_grads(*inputs)[1]
+    lookup = tensor._openblas
+    monkeypatch.setattr(tensor, "_openblas",
+                        lambda name: None if name == "sgemm" else lookup(name))
+    assert conv_with_grads(*inputs)[1].tobytes() == blas_dx.tobytes()
+
+
+def test_float64_conv_backward_takes_the_numpy_line(monkeypatch):
+    calls = []
+    monkeypatch.setattr(tensor, "_openblas",
+                        lambda name: lambda *args: calls.append(args))
+    xv, kv, bv, gv = (a.astype(np.float64)
+                      for a in conv_inputs(2, 5, 6, 3, 3, 3, 4, seed=5))
+    dx = conv_with_grads(xv, kv, bv, gv)[1]
+    assert not calls
+    np.testing.assert_allclose(dx, im2col_conv_reference(xv, kv, bv, gv)[1],
+                               rtol=1e-12, atol=1e-12)
+    conv_with_grads(*conv_inputs(2, 5, 6, 3, 3, 3, 4, seed=5))
+    assert len(calls) == 9      # float32: one sgemm per kernel offset
+
+
+@pytest.mark.parametrize("case", unet_conv_cases(), ids=str)
+def test_conv2d_dx_bytes_do_not_depend_on_blas_threads(case):
+    if tensor._openblas("sgemm") is None or \
+            tensor._openblas("set_num_threads") is None:
+        pytest.skip("numpy's bundled OpenBLAS not found")
+    inputs = conv_inputs(*unet_case_shape(case), seed=case[0] + case[5])
+    before = blas_threads()
+    try:
+        dxs = []
+        for threads in (1, 2):
+            set_blas_threads(threads)
+            dxs.append(conv_with_grads(*inputs)[1].tobytes())
+    finally:
+        set_blas_threads(before)
+    assert dxs[0] == dxs[1]
+
+
+@pytest.mark.parametrize("kshape", [(1, 1, 3, 2), (3, 3, 3, 2), (3, 5, 3, 2)])
 def test_conv2d_grad_check_batch_and_channels(kshape):
     rng = np.random.default_rng(7)
     xv = rng.uniform(-1, 1, size=(2, 4, 4, 3))
