@@ -203,12 +203,23 @@ def unet_case_shape(case):
 
 
 # (batch, h, w, kh, kw, cin, cout) that the default U-Net cases miss: every
-# depth-3 48 px conv at the ragged batches 5 and 7, a non-square input, and
-# kernels with ph != pw or 5x5
+# depth-3 48 px conv at the ragged batches 5 and 7, the 32 px U-Net at batch
+# 1 and the 16 px one at batch 2 (a bottleneck of at most 72 pixels), a
+# non-square input, and kernels with ph != pw or 5x5
 MORE_CONV_SHAPES = [unet_case_shape(c) for c in
-                    unet_conv_cases(((48, 5), (48, 7)), depth=3)] + [
+                    unet_conv_cases(((48, 5), (48, 7)), depth=3)
+                    + unet_conv_cases(((32, 1), (16, 2)))] + [
     (3, 24, 40, 3, 3, 4, 6), (2, 24, 40, 3, 5, 3, 4),
     (3, 9, 11, 5, 3, 5, 2), (5, 8, 8, 5, 5, 6, 7)]
+
+
+def dx_may_move(shape):
+    """Whether conv2d's dx may differ from the reference's in its last bits:
+    cin = 1 takes numpy's matrix-vector path, and with at most 72 pixels and
+    cin >= 16 OpenBLAS may pick another sgemm kernel for the reference's
+    n*h*w-row product than for the padded rows."""
+    batch, h, w, _, _, cin, _ = shape
+    return cin == 1 or (batch * h * w <= 72 and cin >= 16)
 
 
 @pytest.mark.parametrize("shape", MORE_CONV_SHAPES, ids=str)
@@ -217,7 +228,7 @@ def test_conv2d_bytes_match_im2col_reference_beyond_unet_cases(shape):
     got = conv_with_grads(xv, kv, bv, gv)
     ref = im2col_conv_reference(xv, kv, bv, gv)
     for name, a, b in zip(("out", "dx", "dk", "db"), got, ref):
-        if name == "dx" and shape[5] == 1:   # matrix-vector path, as above
+        if name == "dx" and dx_may_move(shape):
             np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-6)
         else:
             assert a.tobytes() == b.tobytes(), name
