@@ -82,10 +82,18 @@ class MaskedFeatureSummary:
 def _masked_mean(features: Tensor, weight: np.ndarray,
                  count: np.ndarray) -> Tensor:
     """Per-sample, per-channel mean (n,1,1,c) of features weighted by a 0/1
-    mask (n,h,w,1), as one node: the same (h, w) sum per sample and channel
-    that tsum(features * weight, axis=(1, 2)) takes, then / (count + eps)."""
+    mask (n,h,w,1), as one node: the (h, w) sum of features * weight per
+    sample and channel, then / (count + eps). With c > 1 einsum takes the
+    products and adds them in the order tsum(features * weight, axis=(1, 2))
+    does, without numpy's per-pixel reduce loop; with c = 1 numpy sums each
+    sample's pixels pairwise, so that sum is kept."""
+    n, h, w, c = features.shape
     denom = count.astype(features.dtype) + features.dtype.type(DICE_EPS)
-    total = (features.values * weight).sum(axis=(1, 2), keepdims=True)
+    if c > 1:
+        total = np.einsum("npc,np->nc", features.values.reshape(n, h * w, c),
+                          weight.reshape(n, h * w)).reshape(n, 1, 1, c)
+    else:
+        total = (features.values * weight).sum(axis=(1, 2), keepdims=True)
     return Tensor(total / denom, parents=(features,), op="masked_mean",
                   grad_fn=lambda g: (
                       np.broadcast_to(g / denom, features.shape) * weight,))
@@ -244,8 +252,8 @@ def total_loss(pred: Tensor, target: Tensor, taps: Sequence[FeatureTap],
             exch_vals.append(ex_t.item())
             contrib_t, contrib = contrib_t + ex_t, contrib + exch_vals[-1]
         a = float(state.alpha[i])
-        total_val += a * contrib
-        if a != 0.0:
+        if a != 0.0:    # 0 * inf would make the total NaN
+            total_val += a * contrib
             total_t = total_t + a * contrib_t
 
     return LossBreakdown(

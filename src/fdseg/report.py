@@ -1,6 +1,8 @@
 """Deterministic hand-emitted SVG line charts for sweep results."""
 from __future__ import annotations
 
+import html
+
 from .sweeps import SweepResult
 
 WIDTH, HEIGHT = 640, 420
@@ -18,7 +20,8 @@ def sweep_chart_svg(result: SweepResult, title: str,
                     x_label: str = "condition",
                     y_label: str = "mean test Dice") -> str:
     """One polyline per loss mode: x = condition, y = mean Dice with +-std
-    whiskers. Byte-deterministic for identical input rows."""
+    whiskers. Byte-deterministic for identical input rows. The title and the
+    mode names, which may come from a file name and a CSV, are XML-escaped."""
     agg = result.aggregate()
     if not agg:
         raise ValueError("empty sweep: nothing to plot")
@@ -48,7 +51,7 @@ def sweep_chart_svg(result: SweepResult, title: str,
         f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH // 2}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{title}</text>',
+        f'font-family="sans-serif" font-size="14">{html.escape(title)}</text>',
         # axes
         f'<line x1="{MARGIN_L}" y1="{MARGIN_T}" x2="{MARGIN_L}" '
         f'y2="{HEIGHT - MARGIN_B}" stroke="black"/>',
@@ -89,7 +92,7 @@ def sweep_chart_svg(result: SweepResult, title: str,
         parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 18}" '
                      f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
         parts.append(f'<text x="{lx + 24}" y="{ly}" font-family="sans-serif" '
-                     f'font-size="11">{mode}</text>')
+                     f'font-size="11">{html.escape(mode)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -404,7 +404,10 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
 
     def grad_fn(g):
         g2d = g.reshape(n * h * w, cout)
-        db = g.sum(axis=(0, 1, 2)).reshape(1, 1, 1, cout)
+        # einsum adds the rows in g.sum's order without its per-pixel inner
+        # loop; one channel keeps g.sum, whose single axis is summed pairwise
+        db = (np.einsum("ij->j", g2d) if cout > 1
+              else g.sum(axis=(0, 1, 2))).reshape(1, 1, 1, cout)
         dk = (cols2d.T @ g2d).reshape(kh, kw, cin, cout)
         if not x.requires_grad:
             return None, dk, db
@@ -426,6 +429,13 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     return Tensor(out, parents=(x, kernel, bias), op="conv2d", grad_fn=grad_fn)
 
 
+def _windows(a: np.ndarray, window: int) -> list[np.ndarray]:
+    """Strided views of each offset of a window x window block, in row-major
+    order: view (i, j) holds a[:, i::window, j::window]."""
+    return [a[:, i::window, j::window, :]
+            for i in range(window) for j in range(window)]
+
+
 def maxpool2d(x: Tensor, window: int = 2) -> Tensor:
     """2x2 max pooling; gradient routes to the first row-major max per window."""
     _, h, w, _ = x.shape
@@ -434,22 +444,16 @@ def maxpool2d(x: Tensor, window: int = 2) -> Tensor:
     if w % window != 0:
         raise DimensionError(f"width {w} not divisible by window {window}", axis="width")
     xv = x.values
-
-    def windows(a: np.ndarray) -> list[np.ndarray]:
-        """Strided views of each window offset, in row-major order."""
-        return [a[:, i::window, j::window, :]
-                for i in range(window) for j in range(window)]
-
     # a copy, so that out never aliases x; on a tie np.maximum returns its
     # second argument, which keeps the earlier (row-major first) value
-    out = windows(xv)[0].copy()
-    for view in windows(xv)[1:]:
+    out = _windows(xv, window)[0].copy()
+    for view in _windows(xv, window)[1:]:
         np.maximum(view, out, out=out)
 
     def grad_fn(g):
         dx = np.empty_like(xv)                   # the views cover all of it
         free = np.ones(out.shape, dtype=bool)    # windows not yet routed
-        for view, dview in zip(windows(xv), windows(dx)):
+        for view, dview in zip(_windows(xv, window), _windows(dx, window)):
             hit = free & (view == out)
             dview[...] = np.where(hit, g, 0)
             free &= ~hit
@@ -464,7 +468,10 @@ def upsample_nearest(x: Tensor, factor: int = 2) -> Tensor:
     out = x.values.repeat(factor, axis=1).repeat(factor, axis=2)
 
     def grad_fn(g):
-        return (g.reshape(n, h, factor, w, factor, c).sum(axis=(2, 4)),)
+        if c == 1:   # numpy sums a one-channel block pairwise; keep its bytes
+            return (g.reshape(n, h, factor, w, factor, c).sum(axis=(2, 4)),)
+        # the block's offsets added in row-major order, as that sum adds them
+        return (functools.reduce(np.add, _windows(g, factor)),)
 
     return Tensor(out, parents=(x,), op="upsample_nearest", grad_fn=grad_fn)
 

@@ -101,11 +101,21 @@ def _batch_arrays(samples: Sequence[SiteSample]) -> tuple[Tensor, Tensor, list[s
     return Tensor(imgs), Tensor(masks), [s.source for s in samples]
 
 
-def _first_nonfinite_tap(taps) -> str:
+def _first_nonfinite_tap(pred: Tensor, taps, bd: LossBreakdown,
+                         alpha: np.ndarray) -> str:
+    """What made a step's total non-finite: the first tap whose activation is
+    non-finite, else the first tap with alpha != 0 whose fd or fd_exch term
+    is, else "prediction" when pred is, else "alpha-weighted sum"."""
     for tap in taps:
         if not np.all(np.isfinite(tap.activation.values)):
             return tap.name
-    return "prediction"
+    exch = bd.fd_exch_per_tap or [0.0] * len(bd.fd_per_tap)
+    for tap, a, fd, ex in zip(taps, alpha, bd.fd_per_tap, exch):
+        if a != 0 and not (math.isfinite(fd) and math.isfinite(ex)):
+            return tap.name
+    if not np.all(np.isfinite(pred.values)):
+        return "prediction"
+    return "alpha-weighted sum"
 
 
 class _SGD:
@@ -138,7 +148,8 @@ def _sgd_step(model: UNet, opt: _SGD, batch: Sequence[SiteSample],
     bd = total_loss(pred, masks, aux_taps, pooled, state, exch_enabled=exch,
                     source_tags=sources, exch_seed=exch_seed)
     if not math.isfinite(bd.total):
-        raise TrainingAborted(f"first bad tap: {_first_nonfinite_tap(taps)}")
+        raise TrainingAborted(
+            f"first bad tap: {_first_nonfinite_tap(pred, taps, bd, state.alpha)}")
     backward(bd.total_tensor)
     opt.step()
     bd.total_tensor = None

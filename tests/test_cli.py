@@ -3,6 +3,7 @@ artifact schemas, and byte-level reproducibility of reports."""
 import json
 import os
 import re
+from xml.etree import ElementTree
 
 import pytest
 
@@ -343,6 +344,17 @@ def test_report_regenerates_svg(tmp_path):
         svg = fh.read()
     assert svg.startswith("<svg")
     assert "seg_only" in svg and "seg+fd" in svg
+
+
+def test_report_escapes_title_and_mode_names(tmp_path):
+    result = SweepResult(rows=[SweepRow(0.0, 0, "seg<fd>&'x'", 0.9, 0.8),
+                               SweepRow(1.0, 0, "seg<fd>&'x'", 0.7, 0.6)])
+    csv_path = str(tmp_path / 'runs a&b <"c">.csv')
+    write_sweep_csv(csv_path, result)
+    assert main(["report", csv_path]) == 0
+    root = ElementTree.parse(os.path.splitext(csv_path)[0] + ".svg").getroot()
+    texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert 'runs a&b <"c">' in texts and "seg<fd>&'x'" in texts
 
 
 def test_report_deterministic_bytes(tmp_path):

@@ -186,18 +186,22 @@ def masked_mean_reference(features, mask):
         per_sample_fg=fg, per_sample_bg=bg)
 
 
-def default_tap_shapes():
-    """(n, h, w, c, downsample factor) of each distinct tap of the default
-    U-Net at 32x32 and 64x64, batch 8."""
+def default_tap_shapes(**config):
+    """(n, h, w, c, downsample factor) of each distinct tap of the U-Net
+    (default unless `config` says otherwise) at 32x32 and 64x64, batch 8."""
     shapes = set()
     for size in (32, 64):
-        model = init_params(UNetConfig(image_size=(size, size)), seed=0)
+        model = init_params(UNetConfig(image_size=(size, size), **config), seed=0)
         _, taps = model.forward(Tensor(np.zeros((8, size, size, 1), np.float32)))
         shapes |= {t.activation.shape + (t.downsample_factor,) for t in taps}
     return sorted(shapes)
 
 
+# the default taps, the one- and two-channel taps of base_channels 1 (where
+# c = 1 keeps numpy's pairwise sum), and a float64 tape
 SUMMARY_CASES = ([(shape, "float32") for shape in default_tap_shapes()]
+                 + [(shape, "float32") for shape in
+                    default_tap_shapes(base_channels=1) if shape[3] <= 2]
                  + [((3, 8, 8, 5, 2), "float64")])
 
 
@@ -458,6 +462,27 @@ def test_total_warmup_is_seg_bit_for_bit():
     seg, _, _ = seg_loss(pred, target)
     assert bd.total_tensor.values.tobytes() == seg.values.tobytes()
     assert bd.total == seg.item()
+
+
+def test_total_skips_a_nonfinite_term_whose_alpha_is_zero():
+    """A float32 tap whose ||F-B||^2 overflows has fd = fd_exch = -inf. Where
+    its alpha is 0 (all of warmup) it adds nothing to the total, not
+    0 * -inf = NaN, so the total is seg plus the other weighted terms."""
+    rng = np.random.default_rng(39)
+    pred = Tensor(rng.uniform(0.01, 0.99, size=(2, 8, 8, 1)).astype(np.float32))
+    target = tb(binary_mask((2, 8, 8, 1), 0.4, seed=40))
+    taps, pooled = fake_taps(seed=41)
+    huge = np.float32(1e20) * np.broadcast_to(pooled[1].values, (2, 4, 4, 4))
+    taps[1] = FeatureTap("tap_1", Tensor(huge.astype(np.float32)), 2)
+    for alpha in ([0.0, 0.0, 0.0], [0.3, 0.0, 0.5]):
+        with np.errstate(over="ignore"):
+            bd = total_loss(pred, target, taps, pooled,
+                            AlphaState(np.array(alpha)), exch_enabled=True)
+        assert bd.fd_per_tap[1] == bd.fd_exch_per_tap[1] == -math.inf
+        expected = bd.seg + sum(a * (f + e) for a, f, e in zip(
+            alpha, bd.fd_per_tap, bd.fd_exch_per_tap) if a)
+        assert bd.total == pytest.approx(expected, abs=1e-6)
+        assert math.isfinite(bd.total_tensor.item())
 
 
 def test_total_single_tap_alpha_one():

@@ -275,6 +275,58 @@ def test_conv2d_dx_bytes_do_not_depend_on_blas_threads(case):
     assert dxs[0] == dxs[1]
 
 
+def padded_channel_slice(rng, shape, dtype=np.float32):
+    """A (n, h, w, c) gradient laid out as dec{l}_up's upstream gradient is in
+    training: the first c channels of a concat gradient that is itself the
+    interior of a padded dx buffer, so neither its pixels nor its rows are
+    contiguous."""
+    n, h, w, c = shape
+    buf = rng.uniform(-1, 1, size=(n, h + 2, w + 2, 2 * c)).astype(dtype)
+    return buf[:, 1:1 + h, 1:1 + w, :c]
+
+
+@pytest.mark.parametrize("case", [c for c in unet_conv_cases()
+                                  if c[2].endswith("_up")], ids=str)
+def test_conv2d_bytes_match_im2col_reference_on_a_channel_slice(case):
+    shape = unet_case_shape(case)
+    xv, kv, bv, _ = conv_inputs(*shape, seed=sum(shape))
+    batch, side, _, _, _, _, cout = shape
+    gv = padded_channel_slice(np.random.default_rng(case[0]),
+                              (batch, side, side, cout))
+    assert not gv.flags.c_contiguous
+    got = conv_with_grads(xv, kv, bv, gv)
+    ref = im2col_conv_reference(xv, kv, bv, gv)
+    for name, a, b in zip(("out", "dx", "dk", "db"), got, ref):
+        assert a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("cout", [1, 2, 8])
+@pytest.mark.parametrize("sliced", [False, True])
+def test_conv2d_db_bytes_match_numpy_sum(dtype, cout, sliced):
+    rng = np.random.default_rng(cout)
+    xv, kv, bv, gv = (a.astype(dtype) for a in
+                      conv_inputs(5, 12, 10, 3, 3, 4, cout, seed=cout))
+    if sliced:
+        gv = padded_channel_slice(rng, gv.shape, dtype)
+    db = conv_with_grads(xv, kv, bv, gv)[3]
+    assert db.dtype == dtype
+    assert db.tobytes() == gv.sum(axis=(0, 1, 2)).reshape(1, 1, 1, cout).tobytes()
+
+
+@settings(deadline=None)
+@given(st.integers(1, 16), st.integers(1, 64), st.integers(1, 64),
+       st.integers(1, 64), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_conv2d_db_bytes_match_numpy_sum_property(n, h, w, cout, sliced, seed):
+    """Up to 16 * 64 * 64 = 2^16 rows of 1 to 64 channels."""
+    rng = np.random.default_rng(seed)
+    xv, kv, bv, gv = conv_inputs(n, h, w, 1, 1, 1, cout, seed=seed)
+    if sliced:
+        gv = padded_channel_slice(rng, gv.shape)
+    db = conv_with_grads(xv, kv, bv, gv)[3]
+    assert db.tobytes() == gv.sum(axis=(0, 1, 2)).reshape(1, 1, 1, cout).tobytes()
+
+
 @pytest.mark.parametrize("kshape", [(1, 1, 3, 2), (3, 3, 3, 2), (3, 5, 3, 2)])
 def test_conv2d_grad_check_batch_and_channels(kshape):
     rng = np.random.default_rng(7)
@@ -416,6 +468,36 @@ def test_upsample_grad_sums_block():
     x = Tensor(np.ones((1, 2, 2, 1), dtype=np.float32), requires_grad=True)
     backward(tsum(upsample_nearest(x)))
     np.testing.assert_array_equal(x.grad, np.full((1, 2, 2, 1), 4.0))
+
+
+def upsample_reference_grad(g, factor=2):
+    """The upsample backward that the row-major window sum replaced."""
+    n, h2, w2, c = g.shape
+    return g.reshape(n, h2 // factor, factor, w2 // factor, factor, c).sum(
+        axis=(2, 4))
+
+
+# (n, h, w, c) of the upsample inputs of the default U-Net at 32 and 64 px,
+# batch 8, and of the depth-3 48 px U-Net at batches 5 and 7 (each feeds a
+# dec{l}_up conv of side 2h and cin = c), then one-channel inputs, which
+# keep numpy's sum
+UPSAMPLE_SHAPES = sorted({
+    (case[1], case[7] // 2, case[7] // 2, case[5])
+    for case in unet_conv_cases(((32, 8), (64, 8)))
+    + unet_conv_cases(((48, 5), (48, 7)), depth=3)
+    if case[2].endswith("_up")}) + [(8, 16, 16, 1), (3, 5, 7, 1), (2, 3, 4, 2)]
+
+
+@pytest.mark.parametrize("shape", UPSAMPLE_SHAPES, ids=str)
+def test_upsample_grad_bytes_match_reshape_sum(shape):
+    n, h, w, c = shape
+    rng = np.random.default_rng(sum(shape))
+    out = upsample_nearest(Tensor(np.zeros(shape, np.float32), requires_grad=True))
+    g = rng.uniform(-1, 1, size=(n, 2 * h, 2 * w, c)).astype(np.float32)
+    for layout in (g, padded_channel_slice(rng, g.shape)):
+        (dx,) = out._grad_fn(layout)
+        ref = upsample_reference_grad(layout)
+        assert dx.dtype == ref.dtype and dx.tobytes() == ref.tobytes()
 
 
 # -- backward ----------------------------------------------------------------------

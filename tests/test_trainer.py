@@ -200,6 +200,44 @@ def test_divergent_run_aborts_with_diagnostic():
     assert exc.value.last_good is not None
 
 
+class ScaledTaps:
+    """A model stub with a finite prediction and two finite taps: "enc1" is
+    the image, "dec_2" the image times 1e20, whose float32 ||F-B||^2
+    overflows, so its fd is -inf. `pred_value` fills the prediction."""
+    config = UNetConfig(depth=2, base_channels=4, image_size=(16, 16))
+
+    def __init__(self, pred_value=0.5):
+        self.pred_value = pred_value
+        self.params = {}
+
+    def forward(self, images):
+        from fdseg.unet import FeatureTap
+        pred = Tensor(np.full(images.shape, self.pred_value, np.float32))
+        return pred, [FeatureTap("enc1", Tensor(images.values), 1),
+                      FeatureTap("dec_2", Tensor(np.float32(1e20) * images.values), 1)]
+
+
+@pytest.mark.parametrize("pred_value,fd,alpha,named", [
+    (0.5, True, [0.5, 0.5], "dec_2"),          # the overflowing fd term
+    (0.5, True, [0.5, 0.0], None),             # its alpha is 0: no abort
+    (np.nan, False, [0.0, 0.0], "prediction"),
+    (np.nan, True, [0.5, 0.5], "dec_2")])
+def test_abort_names_what_made_the_total_nonfinite(pred_value, fd, alpha, named):
+    from fdseg.losses import AlphaState
+    from fdseg.trainer import TrainingAborted, _SGD, _sgd_step
+
+    model = ScaledTaps(pred_value)
+    batch = tiny_datasets()["train"][:4]
+    state = AlphaState(np.array(alpha), "active")
+    step = lambda: _sgd_step(model, _SGD(model.params, 0.01), batch, state,
+                             fd=fd, exch=False, exch_seed=0)
+    if named is None:
+        assert math.isfinite(step().total)
+        return
+    with pytest.raises(TrainingAborted, match=f"first bad tap: {named}$"):
+        step()
+
+
 # -- evaluate -----------------------------------------------------------------------
 
 def test_evaluate_perfect_model():
