@@ -473,7 +473,7 @@ def test_total_skips_a_nonfinite_term_whose_alpha_is_zero():
     target = tb(binary_mask((2, 8, 8, 1), 0.4, seed=40))
     taps, pooled = fake_taps(seed=41)
     huge = np.float32(1e20) * np.broadcast_to(pooled[1].values, (2, 4, 4, 4))
-    taps[1] = FeatureTap("tap_1", Tensor(huge.astype(np.float32)), 2)
+    taps[1] = FeatureTap("tap_1", Tensor(huge), 2)
     for alpha in ([0.0, 0.0, 0.0], [0.3, 0.0, 0.5]):
         with np.errstate(over="ignore"):
             bd = total_loss(pred, target, taps, pooled,

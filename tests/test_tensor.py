@@ -470,17 +470,16 @@ def test_upsample_grad_sums_block():
     np.testing.assert_array_equal(x.grad, np.full((1, 2, 2, 1), 4.0))
 
 
-def upsample_reference_grad(g, factor=2):
-    """The upsample backward that the row-major window sum replaced."""
+def upsample_reference_grad(g):
+    """The 2x upsample backward that the row-major window sum replaced."""
     n, h2, w2, c = g.shape
-    return g.reshape(n, h2 // factor, factor, w2 // factor, factor, c).sum(
-        axis=(2, 4))
+    return g.reshape(n, h2 // 2, 2, w2 // 2, 2, c).sum(axis=(2, 4))
 
 
 # (n, h, w, c) of the upsample inputs of the default U-Net at 32 and 64 px,
 # batch 8, and of the depth-3 48 px U-Net at batches 5 and 7 (each feeds a
 # dec{l}_up conv of side 2h and cin = c), then one-channel inputs, which
-# keep numpy's sum
+# keep numpy's sum, and a small non-square one
 UPSAMPLE_SHAPES = sorted({
     (case[1], case[7] // 2, case[7] // 2, case[5])
     for case in unet_conv_cases(((32, 8), (64, 8)))

@@ -213,8 +213,9 @@ class ScaledTaps:
     def forward(self, images):
         from fdseg.unet import FeatureTap
         pred = Tensor(np.full(images.shape, self.pred_value, np.float32))
+        huge = Tensor(np.float32(1e20) * images.values)
         return pred, [FeatureTap("enc1", Tensor(images.values), 1),
-                      FeatureTap("dec_2", Tensor(np.float32(1e20) * images.values), 1)]
+                      FeatureTap("dec_2", huge, 1)]
 
 
 @pytest.mark.parametrize("pred_value,fd,alpha,named", [
@@ -229,8 +230,11 @@ def test_abort_names_what_made_the_total_nonfinite(pred_value, fd, alpha, named)
     model = ScaledTaps(pred_value)
     batch = tiny_datasets()["train"][:4]
     state = AlphaState(np.array(alpha), "active")
-    step = lambda: _sgd_step(model, _SGD(model.params, 0.01), batch, state,
-                             fd=fd, exch=False, exch_seed=0)
+
+    def step():
+        return _sgd_step(model, _SGD(model.params, 0.01), batch, state,
+                         fd=fd, exch=False, exch_seed=0)
+
     if named is None:
         assert math.isfinite(step().total)
         return
