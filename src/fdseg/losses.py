@@ -194,10 +194,14 @@ class AlphaState:
 
 def alpha_update(state: AlphaState, fd_per_tap: np.ndarray, step: int,
                  warmup_steps: int) -> AlphaState:
-    """Multiplier ascent: raise alpha_l while tap l's discrepancy exceeds tau."""
+    """Multiplier ascent: raise alpha_l while tap l's discrepancy exceeds tau.
+
+    A NaN fd (inf - inf when a tap's masked sums overflow) counts as -inf, the
+    fd of an overflowing ||F - B||^2: either drops that tap's alpha to 0."""
     if step < warmup_steps:
         return replace(state, alpha=np.zeros_like(state.alpha), phase="warmup")
-    new = state.alpha + state.eta_alpha * (np.asarray(fd_per_tap, np.float64)
+    fd = np.asarray(fd_per_tap, np.float64)
+    new = state.alpha + state.eta_alpha * (np.where(np.isnan(fd), -np.inf, fd)
                                            - state.tau)
     return replace(state, alpha=np.clip(new, 0.0, state.alpha_max), phase="active")
 

@@ -464,14 +464,17 @@ def maxpool2d(x: Tensor, window: int = 2) -> Tensor:
 
 def upsample_nearest(x: Tensor, factor: int = 2) -> Tensor:
     """Replicate every pixel into a factor x factor block; gradient sums the block."""
-    n, h, w, c = x.shape
     out = x.values.repeat(factor, axis=1).repeat(factor, axis=2)
 
     def grad_fn(g):
-        if c == 1:   # numpy sums a one-channel block pairwise; keep its bytes
-            return (g.reshape(n, h, factor, w, factor, c).sum(axis=(2, 4)),)
-        # the block's offsets added in row-major order, as that sum adds them
-        return (functools.reduce(np.add, _windows(g, factor)),)
+        # the block's offsets added in row-major order, as numpy's sum over
+        # the block axes of g's (n, h, factor, w, factor, c) reshape adds them
+        # when c > 1, as it is at every upsample of the U-Net
+        first, second, *rest = _windows(g, factor)
+        dx = first + second
+        for view in rest:
+            np.add(dx, view, out=dx)
+        return (dx,)
 
     return Tensor(out, parents=(x,), op="upsample_nearest", grad_fn=grad_fn)
 

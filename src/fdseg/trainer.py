@@ -105,7 +105,9 @@ def _first_nonfinite_tap(pred: Tensor, taps, bd: LossBreakdown,
                          alpha: np.ndarray) -> str:
     """What made a step's total non-finite: the first tap whose activation is
     non-finite, else the first tap with alpha != 0 whose fd or fd_exch term
-    is, else "prediction" when pred is, else "alpha-weighted sum"."""
+    is. The total adds only those terms to the seg loss, and alpha_update
+    keeps alpha finite, so otherwise the seg loss is non-finite: "prediction"
+    when pred is, else "segmentation loss"."""
     for tap in taps:
         if not np.all(np.isfinite(tap.activation.values)):
             return tap.name
@@ -115,7 +117,7 @@ def _first_nonfinite_tap(pred: Tensor, taps, bd: LossBreakdown,
             return tap.name
     if not np.all(np.isfinite(pred.values)):
         return "prediction"
-    return "alpha-weighted sum"
+    return "segmentation loss"
 
 
 class _SGD:

@@ -300,30 +300,20 @@ def test_conv2d_bytes_match_im2col_reference_on_a_channel_slice(case):
         assert a.tobytes() == b.tobytes(), name
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("cout", [1, 2, 8])
-@pytest.mark.parametrize("sliced", [False, True])
-def test_conv2d_db_bytes_match_numpy_sum(dtype, cout, sliced):
-    rng = np.random.default_rng(cout)
+@settings(deadline=None)
+@given(st.integers(1, 16), st.integers(1, 64), st.integers(1, 64),
+       st.integers(1, 64), st.sampled_from([np.float32, np.float64]),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_conv2d_db_bytes_match_numpy_sum_property(n, h, w, cout, dtype, sliced,
+                                                  seed):
+    """Up to 16 * 64 * 64 = 2^16 rows of 1 to 64 channels."""
+    rng = np.random.default_rng(seed)
     xv, kv, bv, gv = (a.astype(dtype) for a in
-                      conv_inputs(5, 12, 10, 3, 3, 4, cout, seed=cout))
+                      conv_inputs(n, h, w, 1, 1, 1, cout, seed=seed))
     if sliced:
         gv = padded_channel_slice(rng, gv.shape, dtype)
     db = conv_with_grads(xv, kv, bv, gv)[3]
     assert db.dtype == dtype
-    assert db.tobytes() == gv.sum(axis=(0, 1, 2)).reshape(1, 1, 1, cout).tobytes()
-
-
-@settings(deadline=None)
-@given(st.integers(1, 16), st.integers(1, 64), st.integers(1, 64),
-       st.integers(1, 64), st.booleans(), st.integers(0, 2 ** 32 - 1))
-def test_conv2d_db_bytes_match_numpy_sum_property(n, h, w, cout, sliced, seed):
-    """Up to 16 * 64 * 64 = 2^16 rows of 1 to 64 channels."""
-    rng = np.random.default_rng(seed)
-    xv, kv, bv, gv = conv_inputs(n, h, w, 1, 1, 1, cout, seed=seed)
-    if sliced:
-        gv = padded_channel_slice(rng, gv.shape)
-    db = conv_with_grads(xv, kv, bv, gv)[3]
     assert db.tobytes() == gv.sum(axis=(0, 1, 2)).reshape(1, 1, 1, cout).tobytes()
 
 
@@ -478,13 +468,12 @@ def upsample_reference_grad(g):
 
 # (n, h, w, c) of the upsample inputs of the default U-Net at 32 and 64 px,
 # batch 8, and of the depth-3 48 px U-Net at batches 5 and 7 (each feeds a
-# dec{l}_up conv of side 2h and cin = c), then one-channel inputs, which
-# keep numpy's sum, and a small non-square one
+# dec{l}_up conv of side 2h and cin = c), then a small non-square one
 UPSAMPLE_SHAPES = sorted({
     (case[1], case[7] // 2, case[7] // 2, case[5])
     for case in unet_conv_cases(((32, 8), (64, 8)))
     + unet_conv_cases(((48, 5), (48, 7)), depth=3)
-    if case[2].endswith("_up")}) + [(8, 16, 16, 1), (3, 5, 7, 1), (2, 3, 4, 2)]
+    if case[2].endswith("_up")}) + [(2, 3, 4, 2)]
 
 
 @pytest.mark.parametrize("shape", UPSAMPLE_SHAPES, ids=str)

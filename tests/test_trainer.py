@@ -202,18 +202,21 @@ def test_divergent_run_aborts_with_diagnostic():
 
 class ScaledTaps:
     """A model stub with a finite prediction and two finite taps: "enc1" is
-    the image, "dec_2" the image times 1e20, whose float32 ||F-B||^2
-    overflows, so its fd is -inf. `pred_value` fills the prediction."""
+    the image, "dec_2" the image times `scale`. At 1e20 its float32
+    ||F-B||^2 overflows, so its fd is -inf; at 1e38 its masked sums overflow,
+    so F - B is inf - inf and its fd is NaN. `pred_value` fills the
+    prediction."""
     config = UNetConfig(depth=2, base_channels=4, image_size=(16, 16))
 
-    def __init__(self, pred_value=0.5):
+    def __init__(self, pred_value=0.5, scale=1e20):
         self.pred_value = pred_value
+        self.scale = scale
         self.params = {}
 
     def forward(self, images):
         from fdseg.unet import FeatureTap
         pred = Tensor(np.full(images.shape, self.pred_value, np.float32))
-        huge = Tensor(np.float32(1e20) * images.values)
+        huge = Tensor(np.float32(self.scale) * images.values)
         return pred, [FeatureTap("enc1", Tensor(images.values), 1),
                       FeatureTap("dec_2", huge, 1)]
 
@@ -222,7 +225,8 @@ class ScaledTaps:
     (0.5, True, [0.5, 0.5], "dec_2"),          # the overflowing fd term
     (0.5, True, [0.5, 0.0], None),             # its alpha is 0: no abort
     (np.nan, False, [0.0, 0.0], "prediction"),
-    (np.nan, True, [0.5, 0.5], "dec_2")])
+    (np.nan, True, [0.5, 0.5], "dec_2"),
+    (3e38, False, [0.0, 0.0], "segmentation loss")])   # Dice's sums overflow
 def test_abort_names_what_made_the_total_nonfinite(pred_value, fd, alpha, named):
     from fdseg.losses import AlphaState
     from fdseg.trainer import TrainingAborted, _SGD, _sgd_step
@@ -240,6 +244,22 @@ def test_abort_names_what_made_the_total_nonfinite(pred_value, fd, alpha, named)
         return
     with pytest.raises(TrainingAborted, match=f"first bad tap: {named}$"):
         step()
+
+
+def test_nan_fd_under_zero_alpha_keeps_alpha_zero():
+    from fdseg.losses import AlphaState, alpha_update
+    from fdseg.trainer import _SGD, _sgd_step
+
+    model = ScaledTaps(scale=1e38)
+    batch = tiny_datasets()["train"][:4]
+    state = AlphaState(np.array([0.5, 0.0]), "active")
+    for step in range(2):
+        bd = _sgd_step(model, _SGD(model.params, 0.01), batch, state,
+                       fd=True, exch=False, exch_seed=0)
+        assert math.isfinite(bd.total) and np.isnan(bd.fd_per_tap[1])
+        state = alpha_update(state, np.asarray(bd.fd_per_tap), step=step,
+                             warmup_steps=0)
+        assert state.alpha[0] > 0 and state.alpha[1] == 0
 
 
 # -- evaluate -----------------------------------------------------------------------
