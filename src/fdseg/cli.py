@@ -228,55 +228,42 @@ def cmd_lemma_checks(cfg: dict) -> Checked:
 
 def _lemma_checks(cfg: dict, out: str) -> int:
     rng = np.random.default_rng(cfg["seed"])
-    reports = []
-    failed = False
-
     lemma1 = lemma1_violation_rate(cfg["lemma1_samples"], seed=cfg["seed"])
-    lemma1["holds"] = True  # reporting-only check
-    reports.append(lemma1)
-
     w = rng.normal(size=(4, 4))
     dx = rng.normal(size=(4, 4))
     rep2 = lemma2_gradient(w, dx)
-    ok2 = (rep2.max_rel_error < 1e-5
-           and rep2.scale_dx_invariance_error < 1e-10
-           and rep2.scale_w_ratio_error < 1e-10)
-    failed |= not ok2
-    reports.append({"check": "lemma2_gradient",
-                    "params": {"d": 4},
-                    "result": {"max_rel_error": rep2.max_rel_error,
-                               "scale_dx_invariance_error":
-                                   rep2.scale_dx_invariance_error,
-                               "scale_w_ratio_error": rep2.scale_w_ratio_error},
-                    "holds": ok2})
-
     wn = weight_norm_experiment()
-    ok_wn = all(nl < nlin for nl, nlin in zip(wn.norm_log, wn.norm_linear))
-    failed |= not ok_wn
-    reports.append({"check": "weight_norm",
-                    "params": {"d": WEIGHT_NORM_D, "steps": WEIGHT_NORM_STEPS},
-                    "result": {"norm_log": wn.norm_log,
-                               "norm_linear": wn.norm_linear,
-                               "diverged": wn.diverged},
-                    "holds": ok_wn})
-
     a, b = cfg["mediation_a"], cfg["mediation_b"]
     slope, var = mediation_mc(a, b, cfg["mediation_n"], cfg["seed"])
     tol_slope = 3.0 / np.sqrt(cfg["mediation_n"]) * 10
-    ok_med = (abs(slope - a * b) < max(0.03, tol_slope)
-              and abs(var - (1 + b * b)) < 0.05 * max(1.0, 1 + b * b))
-    failed |= not ok_med
-    reports.append({"check": "mediation",
-                    "params": {"a": a, "b": b, "n": cfg["mediation_n"]},
-                    "result": {"slope_hat": slope, "var_hat": var},
-                    "holds": ok_med})
-
+    reports = [
+        {**lemma1, "holds": True},      # reporting-only check
+        {"check": "lemma2_gradient",
+         "params": {"d": 4},
+         "result": {"max_rel_error": rep2.max_rel_error,
+                    "scale_dx_invariance_error": rep2.scale_dx_invariance_error,
+                    "scale_w_ratio_error": rep2.scale_w_ratio_error},
+         "holds": (rep2.max_rel_error < 1e-5
+                   and rep2.scale_dx_invariance_error < 1e-10
+                   and rep2.scale_w_ratio_error < 1e-10)},
+        {"check": "weight_norm",
+         "params": {"d": WEIGHT_NORM_D, "steps": WEIGHT_NORM_STEPS},
+         "result": {"norm_log": wn.norm_log, "norm_linear": wn.norm_linear,
+                    "diverged": wn.diverged},
+         "holds": all(nl < nlin for nl, nlin in zip(wn.norm_log,
+                                                    wn.norm_linear))},
+        {"check": "mediation",
+         "params": {"a": a, "b": b, "n": cfg["mediation_n"]},
+         "result": {"slope_hat": slope, "var_hat": var},
+         "holds": bool(abs(slope - a * b) < max(0.03, tol_slope)
+                       and abs(var - (1 + b * b)) < 0.05 * max(1.0, 1 + b * b))},
+    ]
     with open(os.path.join(out, "lemma_reports.json"), "w",
               encoding="utf-8") as fh:
         json.dump(reports, fh, indent=2, sort_keys=True)
     for rep in reports:
-        print(f"{rep['check']}: {'ok' if rep.get('holds') else 'FAIL'}")
-    return EXIT_PROPERTY_FAIL if failed else EXIT_OK
+        print(f"{rep['check']}: {'ok' if rep['holds'] else 'FAIL'}")
+    return EXIT_OK if all(rep["holds"] for rep in reports) else EXIT_PROPERTY_FAIL
 
 
 def cmd_report(args: argparse.Namespace) -> int:

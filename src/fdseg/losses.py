@@ -153,10 +153,8 @@ def fd_exch_loss(summary: MaskedFeatureSummary,
         novel_idx = [i for i, t in enumerate(tags) if t != "base"]
         if base_idx and novel_idx:
             pairing = np.empty(n, dtype=np.int64)
-            for pos, i in enumerate(base_idx):
-                pairing[i] = novel_idx[pos % len(novel_idx)]
-            for pos, i in enumerate(novel_idx):
-                pairing[i] = base_idx[pos % len(base_idx)]
+            pairing[base_idx] = np.resize(novel_idx, len(base_idx))
+            pairing[novel_idx] = np.resize(base_idx, len(novel_idx))
         else:
             warning = "fd_exch: single-source batch, falling back to offset pairing"
 

@@ -74,11 +74,6 @@ class SweepResult:
         return out
 
 
-def _base_split(settings: SweepSettings) -> tuple[list, list, list]:
-    base = generate_site(settings.base_site, settings.n_base, settings.data_seed)
-    return split_dataset(base, seed=settings.data_seed)
-
-
 def _train_config(settings: SweepSettings, seed: int, loss_mode: str,
                   noise_sigma: float = 0.0) -> TrainConfig:
     return TrainConfig(seed=seed, loss_mode=loss_mode, noise_sigma=noise_sigma,
@@ -111,28 +106,37 @@ def check_settings(settings: SweepSettings, conditions: Sequence[float],
         split_dataset(range(n))         # partition sizes only; no site drawn
 
 
-def _train_and_score(settings: SweepSettings, seed: int, loss_mode: str,
-                     base_split: tuple[list, list, list],
-                     extra_train: Sequence = (),
-                     noise_sigma: float = 0.0) -> tuple[float, float]:
-    train_b, test_b, val_b = base_split
-    train_set = list(train_b) + list(extra_train)
-    cfg = _train_config(settings, seed, loss_mode, noise_sigma)
-    model = init_params(_unet_config(settings), seed=seed)
-    best, _ = train(cfg, model, {"train": train_set, "val": val_b, "test": test_b})
-    records = evaluate(best, test_b)
-    return (float(np.mean([r.dice for r in records])),
-            float(np.mean([r.iou for r in records])))
-
-
-def _failed_row(condition: float, seed: int, loss_mode: str,
-                exc: Exception) -> SweepRow:
-    """The row of a cell that raised: NaN scores, and the exception as status,
-    so one failing cell does not take down the rest of the sweep. An error
-    other than diverged training also prints its traceback to stderr."""
-    if isinstance(exc, TrainingAborted):
+def _run_cell(settings: SweepSettings, condition: float, seed: int,
+              loss_mode: str, novel_fraction: float = 0.0,
+              noise_sigma: float = 0.0) -> SweepRow:
+    """Train on the base site's train split plus the first `novel_fraction`
+    of the novel site's, and score on the base test split. A cell that raises
+    becomes a row of NaN scores with the exception as its status, so one
+    failing cell does not take down the rest of the sweep; an error other
+    than diverged training also prints its traceback to stderr."""
+    try:
+        base = generate_site(settings.base_site, settings.n_base,
+                             settings.data_seed)
+        train_set, test_b, val_b = split_dataset(base, seed=settings.data_seed)
+        if novel_fraction > 0:
+            novel = generate_site(settings.novel_site, settings.n_novel,
+                                  settings.data_seed + 1)
+            novel_train, _, _ = split_dataset(novel, seed=settings.data_seed + 1)
+            n_add = max(1, round(novel_fraction * len(novel_train)))
+            if settings.cap_novel_at_base:
+                n_add = min(n_add, len(train_set))
+            train_set = train_set + novel_train[:n_add]
+        cfg = _train_config(settings, seed, loss_mode, noise_sigma)
+        model = init_params(_unet_config(settings), seed=seed)
+        best, _ = train(cfg, model, {"train": train_set, "val": val_b,
+                                     "test": test_b})
+        records = evaluate(best, test_b)
+        return SweepRow(condition, seed, loss_mode,
+                        float(np.mean([r.dice for r in records])),
+                        float(np.mean([r.iou for r in records])))
+    except TrainingAborted as exc:
         status = f"aborted: {exc}"
-    else:
+    except Exception as exc:
         traceback.print_exception(exc)
         status = f"error: {type(exc).__name__}: {exc}"
     return SweepRow(condition, seed, loss_mode, float("nan"), float("nan"),
@@ -141,32 +145,12 @@ def _failed_row(condition: float, seed: int, loss_mode: str,
 
 def run_data_addition_cell(args: tuple) -> SweepRow:
     settings, fraction, seed, loss_mode = args
-    try:
-        base_split = _base_split(settings)
-        extra = []
-        if fraction > 0:
-            novel = generate_site(settings.novel_site, settings.n_novel,
-                                  settings.data_seed + 1)
-            novel_train, _, _ = split_dataset(novel, seed=settings.data_seed + 1)
-            n_add = max(1, round(fraction * len(novel_train)))
-            if settings.cap_novel_at_base:
-                n_add = min(n_add, len(base_split[0]))
-            extra = novel_train[:n_add]
-        dice, iou = _train_and_score(settings, seed, loss_mode, base_split,
-                                     extra_train=extra)
-        return SweepRow(fraction, seed, loss_mode, dice, iou)
-    except Exception as exc:
-        return _failed_row(fraction, seed, loss_mode, exc)
+    return _run_cell(settings, fraction, seed, loss_mode, novel_fraction=fraction)
 
 
 def run_noise_cell(args: tuple) -> SweepRow:
     settings, sigma, seed, loss_mode = args
-    try:
-        dice, iou = _train_and_score(settings, seed, loss_mode,
-                                     _base_split(settings), noise_sigma=sigma)
-        return SweepRow(sigma, seed, loss_mode, dice, iou)
-    except Exception as exc:
-        return _failed_row(sigma, seed, loss_mode, exc)
+    return _run_cell(settings, sigma, seed, loss_mode, noise_sigma=sigma)
 
 
 def _pool_width(n_cells: int) -> int:

@@ -504,17 +504,29 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-3) -> f
     backward(out)
     analytic = np.zeros_like(base) if x64.grad is None else x64.grad
 
-    numeric = np.zeros_like(base)
-    flat = base.reshape(-1)
-    num_flat = numeric.reshape(-1)
+    numeric = central_differences(
+        lambda a: f(Tensor(a.copy(), requires_grad=False)).item(), base, eps)
+    return max_relative_error(analytic, numeric)
+
+
+def central_differences(f: Callable[[np.ndarray], float], x: np.ndarray,
+                        eps: float) -> np.ndarray:
+    """(f(x + eps e_i) - f(x - eps e_i)) / 2eps for each coordinate i of x,
+    moving one coordinate at a time in a float64 copy of x."""
+    x = np.array(x, dtype=np.float64, order="C")
+    flat, numeric = x.reshape(-1), np.zeros(x.shape)
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + eps
-        hi = f(Tensor(base.copy(), requires_grad=False)).item()
+        hi = f(x)
         flat[i] = orig - eps
-        lo = f(Tensor(base.copy(), requires_grad=False)).item()
+        lo = f(x)
         flat[i] = orig
-        num_flat[i] = (hi - lo) / (2.0 * eps)
+        numeric.flat[i] = (hi - lo) / (2.0 * eps)
+    return numeric
 
-    denom = np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
-    return float(np.max(np.abs(analytic - numeric) / denom))
+
+def max_relative_error(a: np.ndarray, b: np.ndarray) -> float:
+    """max |a - b| / (|a| + |b|), with the denominator floored at 1e-8."""
+    denom = np.maximum(1e-8, np.abs(a) + np.abs(b))
+    return float(np.max(np.abs(a - b) / denom))

@@ -55,6 +55,9 @@ class TrainConfig:
                 raise ContractError(f"{name} must be >= 0, got {value}")
         if self.lr <= 0 or self.batch_size < 1:
             raise ContractError("lr must be > 0 and batch_size >= 1")
+        for name in ("lr", "noise_sigma"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise ContractError(f"{name} must be finite, got {value}")
         if self.loss_mode not in LOSS_MODES:
             raise ContractError(f"unknown loss_mode {self.loss_mode!r}")
 

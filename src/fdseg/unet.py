@@ -4,7 +4,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -153,11 +153,7 @@ def save_checkpoint(model: UNet, path: str) -> None:
     try:
         with open(tmp, "wb") as fh:
             fh.write(CHECKPOINT_MAGIC)
-            cfg = {"depth": model.config.depth,
-                   "base_channels": model.config.base_channels,
-                   "in_channels": model.config.in_channels,
-                   "image_size": list(model.config.image_size)}
-            blob = json.dumps(cfg, sort_keys=True).encode("utf-8")
+            blob = json.dumps(asdict(model.config), sort_keys=True).encode("utf-8")
             fh.write(struct.pack("<I", len(blob)))
             fh.write(blob)
             for name, t in model.params.items():

@@ -7,6 +7,7 @@ from xml.etree import ElementTree
 
 import pytest
 
+import fdseg.cli
 from fdseg.cli import (GEN_DATA_SETTINGS, SWEEP_SETTINGS, TRAIN_SETTINGS,
                        main)
 from fdseg.data import BASE_SITE, NOVEL_SITE
@@ -166,6 +167,22 @@ def test_negative_or_empty_setting_exits_before_manifest(tmp_path, argv):
     assert not os.path.exists(os.path.join(out, "manifest.json"))
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["train"] + FAST_TRAIN + ["--lr", "nan"], "lr must be finite"),
+    (["train"] + FAST_TRAIN + ["--lr", "inf"], "lr must be finite"),
+    (["train"] + FAST_TRAIN + ["--noise-sigma", "nan"],
+     "noise_sigma must be finite"),
+    (["data-addition", "--loss-modes", "seg_only"] + FAST_SWEEP
+     + ["--lr", "nan"], "lr must be finite"),
+], ids=["train_lr_nan", "train_lr_inf", "train_noise_sigma_nan", "sweep_lr_nan"])
+def test_non_finite_setting_exits_before_manifest(tmp_path, capsys, argv,
+                                                  message):
+    out = str(tmp_path / "run")
+    assert main(argv + ["--out", out]) == 2
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "manifest.json"))
+
+
 @pytest.mark.parametrize("argv,repeated", [
     (["--seeds", "0,0", "--loss-modes", "seg_only"], "seed 0"),
     (["--seeds", "0", "--loss-modes", "seg_only,seg_only"],
@@ -314,6 +331,23 @@ def test_lemma_checks_pass_and_report(tmp_path):
     assert by_check["weight_norm"]["holds"]
     assert by_check["mediation"]["holds"]
     assert 1.95 <= by_check["mediation"]["result"]["var_hat"] <= 2.05
+
+
+@pytest.mark.parametrize("slope_off,var_off", [(1.0, 0.0), (0.0, 1.0)],
+                         ids=["slope", "var"])
+def test_failed_lemma_check_exits_property_fail(tmp_path, monkeypatch, capsys,
+                                                slope_off, var_off):
+    monkeypatch.setattr(fdseg.cli, "mediation_mc", lambda a, b, n, seed:
+                        (a * b + slope_off, 1 + b * b + var_off))
+    out = str(tmp_path / "lemmas")
+    assert main(["lemma-checks", "--out", out]) == 1
+    with open(os.path.join(out, "lemma_reports.json")) as fh:
+        holds = {r["check"]: r["holds"] for r in json.load(fh)}
+    assert holds == {"lemma1": True, "lemma2_gradient": True,
+                     "weight_norm": True, "mediation": False}
+    assert capsys.readouterr().out.splitlines() == [
+        "lemma1: ok", "lemma2_gradient: ok", "weight_norm: ok",
+        "mediation: FAIL"]
 
 
 def test_lemma_checks_rerun_from_manifest_reproduces_report_bytes(tmp_path):

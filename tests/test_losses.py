@@ -378,6 +378,18 @@ def test_exch_base_novel_tags_pair_across_sources():
     assert loss.item() == pytest.approx(exch_oracle(fg, bg, [1, 0, 3, 2]), rel=1e-4)
 
 
+def test_exch_unequal_source_counts_pair_cyclically():
+    s = batch_summary(5, 2, seed=27)
+    tags = ["novel", "base", "novel", "novel", "base"]
+    loss, warn = fd_exch_loss(s, source_tags=tags, seed=0)
+    assert warn is None
+    fg = s.per_sample_fg.values.reshape(5, -1).astype(np.float64)
+    bg = s.per_sample_bg.values.reshape(5, -1).astype(np.float64)
+    # base 1,4 take novel 0,2; novel 0,2,3 cycle through base 1,4,1
+    assert loss.item() == pytest.approx(exch_oracle(fg, bg, [1, 0, 4, 1, 2]),
+                                        rel=1e-4)
+
+
 def test_exch_single_source_falls_back_with_warning():
     s = batch_summary(3, 2, seed=24)
     loss, warn = fd_exch_loss(s, source_tags=["base", "base", "base"], seed=1)

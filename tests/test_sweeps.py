@@ -91,6 +91,23 @@ def test_failing_data_addition_cell_becomes_its_row(monkeypatch):
         assert all(map(math.isnan, scores)) == (r.seed == 1)
 
 
+def test_failing_novel_site_fails_only_the_cells_that_add_it(monkeypatch):
+    monkeypatch.setenv("FDSEG_WORKERS", "1")
+    real = fdseg.sweeps.generate_site
+
+    def no_novel_site(config, n, seed):
+        if config.name == "novel":
+            raise OSError("novel site unreadable")
+        return real(config, n, seed)
+
+    monkeypatch.setattr(fdseg.sweeps, "generate_site", no_novel_site)
+    result = data_addition_sweep(TINY, fractions=(0.0, 0.5),
+                                 loss_modes=("seg_only",), seeds=(0,))
+    status = {r.condition: r.status for r in result.rows}
+    assert status == {0.0: "ok", 0.5: "error: OSError: novel site unreadable"}
+    assert math.isnan(result.rows[1].test_dice_base)
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-1"])
 def test_bad_worker_count_is_rejected_before_any_process(monkeypatch, value):
     monkeypatch.setenv("FDSEG_WORKERS", value)

@@ -62,6 +62,14 @@ def test_config_rejects_negative_setting(name, value):
         TrainConfig(**{name: value})
 
 
+@pytest.mark.parametrize("name,value", [("lr", math.nan), ("lr", math.inf),
+                                        ("noise_sigma", math.nan),
+                                        ("noise_sigma", math.inf)])
+def test_config_rejects_non_finite_setting(name, value):
+    with pytest.raises(ContractError, match=f"{name} must be finite, got {value}"):
+        TrainConfig(**{name: value})
+
+
 def test_all_loss_modes_run_one_step():
     data = tiny_datasets()
     for mode in LOSS_MODES:

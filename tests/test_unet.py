@@ -155,6 +155,16 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         assert fh.read(8) == b"FDSEGCKP"
 
 
+def test_checkpoint_config_header_bytes(tmp_path):
+    path = os.path.join(tmp_path, "m.ckpt")
+    save_checkpoint(init_params(UNetConfig(), seed=0), path)
+    blob = (b'{"base_channels": 8, "depth": 2, "image_size": [64, 64], '
+            b'"in_channels": 1}')
+    with open(path, "rb") as fh:
+        fh.read(8)
+        assert fh.read(4 + len(blob)) == struct.pack("<I", len(blob)) + blob
+
+
 def test_checkpoint_rejects_bad_magic(tmp_path):
     path = os.path.join(tmp_path, "bad.ckpt")
     with open(path, "wb") as fh:
