@@ -248,8 +248,7 @@ def _lemma_checks(cfg: dict, out: str) -> int:
                    and rep2.scale_w_ratio_error < 1e-10)},
         {"check": "weight_norm",
          "params": {"d": WEIGHT_NORM_D, "steps": WEIGHT_NORM_STEPS},
-         "result": {"norm_log": wn.norm_log, "norm_linear": wn.norm_linear,
-                    "diverged": wn.diverged},
+         "result": dataclasses.asdict(wn),
          "holds": all(nl < nlin for nl, nlin in zip(wn.norm_log,
                                                     wn.norm_linear))},
         {"check": "mediation",

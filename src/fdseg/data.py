@@ -247,11 +247,8 @@ def save_site(samples: Sequence[SiteSample], config: SiteConfig, root: str) -> s
     os.makedirs(site_dir, exist_ok=True)
     for s in samples:
         save_pgm(s, site_dir)
-    cfg = asdict(config)
-    cfg["n_shapes"] = list(config.n_shapes)
-    cfg["image_size"] = list(config.image_size)
     with open(os.path.join(site_dir, "site.json"), "w", encoding="utf-8") as fh:
-        json.dump(cfg, fh, indent=2, sort_keys=True)
+        json.dump(asdict(config), fh, indent=2, sort_keys=True)
     return site_dir
 
 

@@ -240,10 +240,6 @@ def total_loss(pred: Tensor, target: Tensor, taps: Sequence[FeatureTap],
     # rounding inside total_tensor.
     total_val = seg_t.item()
     for i, (tap, pm) in enumerate(zip(taps, pooled_masks)):
-        if pm.shape[1:3] != tap.activation.shape[1:3]:
-            raise ContractError(
-                f"tap {tap.name}: pooled mask {pm.shape} vs activation "
-                f"{tap.activation.shape}")
         summary = feature_summary(tap.activation, pm)
         contrib_t = fd_loss(summary)
         fd_vals.append(contrib_t.item())

@@ -7,8 +7,8 @@ import os
 import traceback
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import astuple, dataclass, field, fields, replace
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from .data import (BASE_SITE, DATA_SEED, NOVEL_SITE, SiteConfig, generate_site,
                    split_dataset)
 from .tensor import ContractError, _openblas
 from .trainer import (LOSS_MODES, TrainConfig, TrainingAborted, evaluate,
-                      one_blas_thread, train)
+                      one_blas_thread, train, write_csv)
 from .unet import UNetConfig, init_params
 
 DATA_ADDITION_FRACTIONS = (0.0, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0)
@@ -213,38 +213,38 @@ def _run_cells(fn, cells: list[tuple]) -> list[SweepRow]:
     return rows
 
 
+def _sweep(fn, settings: SweepSettings, conditions: Sequence[float],
+           loss_modes: Sequence[str], seeds: Sequence[int]) -> SweepResult:
+    """fn of each (condition, loss mode, seed) cell once check_settings has
+    passed them; an int condition is stored, and prints, as a float."""
+    check_settings(settings, conditions, loss_modes, seeds)
+    cells = [(settings, float(c), s, m)
+             for c in conditions for m in loss_modes for s in seeds]
+    return SweepResult(rows=_run_cells(fn, cells))
+
+
 def data_addition_sweep(settings: SweepSettings,
                         fractions: Sequence[float] = DATA_ADDITION_FRACTIONS,
                         loss_modes: Sequence[str] = LOSS_MODES,
                         seeds: Sequence[int] = SWEEP_SEEDS) -> SweepResult:
-    check_settings(settings, fractions, loss_modes, seeds)
-    cells = [(settings, f, s, m)
-             for f in fractions for m in loss_modes for s in seeds]
-    return SweepResult(rows=_run_cells(run_data_addition_cell, cells))
+    return _sweep(run_data_addition_cell, settings, fractions, loss_modes, seeds)
 
 
 def noise_sweep(settings: SweepSettings,
                 sigmas: Sequence[float] = NOISE_SWEEP_GRID,
                 loss_modes: Sequence[str] = NOISE_SWEEP_MODES,
                 seeds: Sequence[int] = SWEEP_SEEDS) -> SweepResult:
-    check_settings(settings, sigmas, loss_modes, seeds)
-    cells = [(settings, sg, s, m)
-             for sg in sigmas for m in loss_modes for s in seeds]
-    return SweepResult(rows=_run_cells(run_noise_cell, cells))
+    return _sweep(run_noise_cell, settings, sigmas, loss_modes, seeds)
 
 
 def write_sweep_csv(path: str, result: SweepResult) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["condition", "seed", "loss_mode", "test_dice_base",
-                     "test_iou_base", "status"])
-        for r in result.rows:
-            wr.writerow([f"{r.condition:.6f}", r.seed, r.loss_mode,
-                         f"{r.test_dice_base:.6f}", f"{r.test_iou_base:.6f}",
-                         r.status])
+    write_csv(path, [f.name for f in fields(SweepRow)], map(astuple, result.rows))
 
 
 def read_sweep_csv(path: str) -> SweepResult:
+    """Each column parsed with its SweepRow field's type; extra columns are
+    ignored, a missing one takes its default (a five-column file is "ok")."""
+    types = get_type_hints(SweepRow).items()
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -253,10 +253,9 @@ def read_sweep_csv(path: str) -> SweepResult:
             raise ValueError(f"{path}: malformed sweep CSV header at line 1")
         for lineno, row in enumerate(reader, start=2):
             try:
-                rows.append(SweepRow(float(row[0]), int(row[1]), row[2],
-                                     float(row[3]), float(row[4]),
-                                     row[5] if len(row) > 5 else "ok"))
-            except (IndexError, ValueError) as exc:
+                rows.append(SweepRow(**{name: kind(value) for (name, kind), value
+                                        in zip(types, row)}))
+            except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}: malformed sweep CSV at line {lineno}: "
                                  f"{exc}") from None
     return SweepResult(rows=rows)

@@ -327,13 +327,16 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
 
 # -- reductions / structure ---------------------------------------------------
 
+def _axes(axis) -> tuple[int, ...]:
+    """A reduction's axes as a tuple: all four for None, one for an int."""
+    if axis is None:
+        return (0, 1, 2, 3)
+    return (axis,) if isinstance(axis, int) else tuple(axis)
+
+
 def tsum(a: Tensor, axis=None) -> Tensor:
     """Sum over the given axes (all by default), keeping rank 4."""
-    if axis is None:
-        axis = (0, 1, 2, 3)
-    elif isinstance(axis, int):
-        axis = (axis,)
-    axis = tuple(axis)
+    axis = _axes(axis)
     out = a.values.sum(axis=axis, keepdims=True)
 
     def grad_fn(g):
@@ -343,10 +346,7 @@ def tsum(a: Tensor, axis=None) -> Tensor:
 
 
 def tmean(a: Tensor, axis=None) -> Tensor:
-    if axis is None:
-        axis = (0, 1, 2, 3)
-    elif isinstance(axis, int):
-        axis = (axis,)
+    axis = _axes(axis)
     count = float(np.prod([a.shape[ax] for ax in axis]))
     return tsum(a, axis) * (1.0 / count)
 

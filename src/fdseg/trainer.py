@@ -7,8 +7,8 @@ import csv
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import astuple, dataclass, field, fields
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -262,6 +262,8 @@ def one_blas_thread():
         set_blas_threads(threads)
 
 
+# here, not in evaluate(): an errstate does not reach the pool's threads
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _evaluate_chunk(model: UNet, chunk: Sequence[SiteSample]) -> list[MetricsRecord]:
     images, masks, _ = _batch_arrays(chunk)
     pred, taps = model.forward(images)
@@ -352,38 +354,29 @@ def one_sample_t_test(baseline: float,
 
 # -- CSV emission ---------------------------------------------------------------
 
+def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """The kit's one CSV writer: floats as six decimals, the rest as they are."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        wr.writerows([f"{v:.6f}" if isinstance(v, (float, np.floating)) else v
+                      for v in row] for row in rows)
+
+
 def write_history_csv(path: str, history: Sequence[EpochRecord],
                       tap_names: Sequence[str]) -> None:
     has_fd = any(r.fd_per_tap for r in history)
     has_exch = any(r.fd_exch_per_tap for r in history)
-    header = ["epoch", "phase", "total", "seg", "dice_loss", "bce"]
-    if has_fd:
-        header += [f"fd_{t}" for t in tap_names]
-    if has_exch:
-        header += [f"fd_exch_{t}" for t in tap_names]
-    if has_fd:
-        header += [f"alpha_{t}" for t in tap_names]
-    header.append("val_dice")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(header)
-        for r in history:
-            row = [r.epoch, r.phase, f"{r.total:.6f}", f"{r.seg:.6f}",
-                   f"{r.dice_loss:.6f}", f"{r.bce:.6f}"]
-            if has_fd:
-                row += [f"{v:.6f}" for v in r.fd_per_tap]
-            if has_exch:
-                row += [f"{v:.6f}" for v in r.fd_exch_per_tap]
-            if has_fd:
-                row += [f"{v:.6f}" for v in r.alpha]
-            row.append(f"{r.val_dice:.6f}")
-            wr.writerow(row)
+    prefixes = ["fd_"] * has_fd + ["fd_exch_"] * has_exch + ["alpha_"] * has_fd
+    header = ["epoch", "phase", "total", "seg", "dice_loss", "bce",
+              *(p + t for p in prefixes for t in tap_names), "val_dice"]
+    write_csv(path, header, (
+        [r.epoch, r.phase, r.total, r.seg, r.dice_loss, r.bce,
+         *(r.fd_per_tap if has_fd else []),
+         *(r.fd_exch_per_tap if has_exch else []),
+         *(r.alpha if has_fd else []), r.val_dice]
+        for r in history))
 
 
 def write_eval_csv(path: str, records: Sequence[MetricsRecord]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["sample_id", "dice", "iou", "fd_last_decoder"])
-        for r in records:
-            wr.writerow([r.sample_id, f"{r.dice:.6f}", f"{r.iou:.6f}",
-                         f"{r.fd_last_decoder:.6f}"])
+    write_csv(path, [f.name for f in fields(MetricsRecord)], map(astuple, records))

@@ -350,6 +350,25 @@ def test_failed_lemma_check_exits_property_fail(tmp_path, monkeypatch, capsys,
         "mediation: FAIL"]
 
 
+def test_lemma_config_accepts_integer_for_float_setting(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"mediation_a": 1}))
+    out = str(tmp_path / "lemmas")
+    assert main(["lemma-checks", "--config", str(cfg_path), "--out", out]) == 0
+    with open(os.path.join(out, "manifest.json")) as fh:
+        value = json.load(fh)["config"]["mediation_a"]
+    assert value == 1.0 and type(value) is float
+
+
+def test_config_file_holding_an_array_exits_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps([{"seed": 1}]))
+    out = str(tmp_path / "run")
+    assert main(["lemma-checks", "--config", str(cfg_path), "--out", out]) == 2
+    assert "config must be a JSON object" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "manifest.json"))
+
+
 def test_lemma_checks_rerun_from_manifest_reproduces_report_bytes(tmp_path):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     assert main(["lemma-checks", "--out", out1, "--seed", "2"]) == 0
@@ -416,6 +435,31 @@ def test_report_malformed_csv_names_line(tmp_path):
         fh.write("condition,seed,loss_mode,test_dice_base,test_iou_base,status\n")
         fh.write("0.0,0,seg_only,not_a_number,0.8,ok\n")
     assert main(["report", csv_path]) == 2
+
+
+def _read_sweep_text(tmp_path, text):
+    path = tmp_path / "s.csv"
+    path.write_text(text)
+    return read_sweep_csv(str(path))
+
+
+def test_sweep_csv_without_status_column_reads_ok(tmp_path):
+    result = _read_sweep_text(tmp_path, "condition,seed,loss_mode,"
+                              "test_dice_base,test_iou_base\n"
+                              "0.500000,2,seg+fd,0.900000,0.800000\n")
+    assert result.rows == [SweepRow(0.5, 2, "seg+fd", 0.9, 0.8, "ok")]
+
+
+def test_sweep_csv_short_row_names_its_line(tmp_path):
+    with pytest.raises(ValueError, match="malformed sweep CSV at line 2"):
+        _read_sweep_text(tmp_path, "condition,seed,loss_mode,test_dice_base\n"
+                         "0.500000,2,seg+fd,0.900000\n")
+
+
+def test_sweep_csv_bad_header_names_line_1(tmp_path):
+    with pytest.raises(ValueError, match="malformed sweep CSV header at line 1"):
+        _read_sweep_text(tmp_path, "seed,condition,loss_mode,test_dice_base,"
+                         "test_iou_base,status\n0,0.5,seg+fd,0.9,0.8,ok\n")
 
 
 def test_sweep_csv_roundtrip(tmp_path):

@@ -224,6 +224,29 @@ def test_pgm_wrong_maxval(tmp_path):
         load_pgm_pair(str(path), str(path))
 
 
+def test_pgm_header_comment_is_skipped(tmp_path):
+    path = tmp_path / "c.pgm"
+    path.write_bytes(b"P5\n# written by hand\n2 1\n255\n" + bytes([0, 255]))
+    s = load_pgm_pair(str(path), str(path))
+    np.testing.assert_array_equal(s.mask[:, :, 0], [[0, 1]])
+
+
+def test_pgm_non_integer_header_field_offset(tmp_path):
+    path = tmp_path / "w.pgm"
+    path.write_bytes(b"P5\n2 x2\n255\n" + bytes(4))
+    with pytest.raises(PgmParseError, match="x2") as exc:
+        load_pgm_pair(str(path), str(path))
+    assert exc.value.offset == 5
+
+
+def test_pgm_image_and_mask_sizes_differ(tmp_path):
+    img, mask = tmp_path / "i.pgm", tmp_path / "m.pgm"
+    img.write_bytes(b"P5\n2 2\n255\n" + bytes(4))
+    mask.write_bytes(b"P5\n2 1\n255\n" + bytes(2))
+    with pytest.raises(PgmParseError, match="differ"):
+        load_pgm_pair(str(img), str(mask))
+
+
 def test_site_directory_roundtrip(tmp_path):
     samples = generate_site(SMALL, 3, seed=21)
     site_dir = save_site(samples, SMALL, str(tmp_path))

@@ -14,9 +14,9 @@ import pytest
 
 import fdseg.sweeps
 from fdseg.data import BASE_SITE, NOVEL_SITE
-from fdseg.sweeps import (SweepSettings, _openblas, _run_cells, check_settings,
-                          data_addition_sweep, noise_sweep, pool_runtime,
-                          run_data_addition_cell, write_sweep_csv)
+from fdseg.sweeps import (SweepRow, SweepSettings, _openblas, _run_cells,
+                          check_settings, data_addition_sweep, noise_sweep,
+                          pool_runtime, run_data_addition_cell, write_sweep_csv)
 from fdseg.tensor import ContractError
 from fdseg.trainer import TrainingAborted, blas_threads, set_blas_threads
 
@@ -287,3 +287,19 @@ def test_repeated_seed_fails_the_sweep_before_any_cell(monkeypatch):
                         lambda fn, cells: pytest.fail("a cell ran"))
     with pytest.raises(ContractError, match="seed 0 is repeated"):
         noise_sweep(TINY, sigmas=(0.0,), loss_modes=("seg_only",), seeds=(0, 0))
+
+
+@pytest.mark.parametrize("sweep", [data_addition_sweep, noise_sweep])
+def test_int_conditions_print_as_floats_in_cell_order(monkeypatch, tmp_path,
+                                                      sweep):
+    monkeypatch.setattr(fdseg.sweeps, "_run_cells", lambda fn, cells: [
+        SweepRow(c, s, m, 0.5, 0.25) for _, c, s, m in cells])
+    path = os.path.join(tmp_path, "s.csv")
+    write_sweep_csv(path, sweep(TINY, (0, 1), ("seg_only", "seg+fd"), (3, 4)))
+    with open(path, encoding="utf-8", newline="") as fh:
+        lines = fh.read().split("\r\n")
+    assert lines[0] == ("condition,seed,loss_mode,test_dice_base,"
+                        "test_iou_base,status")
+    assert lines[1:] == [f"{c}.000000,{s},{m},0.500000,0.250000,ok"
+                         for c in (0, 1) for m in ("seg_only", "seg+fd")
+                         for s in (3, 4)] + [""]

@@ -476,6 +476,21 @@ def test_no_evaluate_pool_thread_outlives_the_call(two_blas_threads):
     assert threading.active_count() == before
 
 
+def test_overflowing_last_decoder_gives_minus_inf_fd_without_a_warning(
+        two_blas_threads):
+    """A runaway last decoder overflows fd's squared norm; the fd reads -inf
+    on the pool's threads (four full 16-sample chunks) and serially, and no
+    RuntimeWarning escapes, which this suite would turn into an error."""
+    model = init_params(UNetConfig(base_channels=2, image_size=(16, 16)), seed=0)
+    model.params["dec2_conv2_w"].values *= np.float32(1e25)
+    samples = generate_site(SITE, 64, seed=47)
+    pooled = evaluate(model, samples)
+    set_blas_threads(1)
+    serial = evaluate(model, samples)
+    assert len(pooled) == len(serial) == 64
+    assert all(r.fd_last_decoder == -math.inf for r in pooled + serial)
+
+
 # -- worst-off partition --------------------------------------------------------------
 
 def rec(sid, dice):

@@ -233,6 +233,20 @@ def test_checkpoint_rejects_malformed_config_header(tmp_path, edit_config):
         load_checkpoint(path)
 
 
+def test_checkpoint_rejects_config_header_that_is_not_json(tmp_path):
+    path = os.path.join(tmp_path, "m.ckpt")
+    save_checkpoint(init_params(UNetConfig(depth=1, base_channels=8,
+                                           image_size=(16, 16)), seed=3), path)
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    (n,) = struct.unpack("<I", blob[8:12])
+    with open(path, "wb") as fh:
+        fh.write(blob[:12] + b"{" * n + blob[12 + n:])
+    with pytest.raises(ContractError, match=re.escape(path) + ": corrupt "
+                       "checkpoint config"):
+        load_checkpoint(path)
+
+
 class _PayloadFails:
     shape = (1, 1, 1, 8)
 
