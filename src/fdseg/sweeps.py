@@ -242,14 +242,15 @@ def write_sweep_csv(path: str, result: SweepResult) -> None:
 
 
 def read_sweep_csv(path: str) -> SweepResult:
-    """Each column parsed with its SweepRow field's type; extra columns are
-    ignored, a missing one takes its default (a five-column file is "ok")."""
+    """Each column parsed with its SweepRow field's type; each header name
+    must be the field at its position. Extra columns are ignored, a missing
+    one takes its default (a five-column file is "ok")."""
     types = get_type_hints(SweepRow).items()
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or header[:3] != ["condition", "seed", "loss_mode"]:
+        if not header or any(col != name for col, (name, _) in zip(header, types)):
             raise ValueError(f"{path}: malformed sweep CSV header at line 1")
         for lineno, row in enumerate(reader, start=2):
             try:

@@ -306,9 +306,22 @@ def log(a: Tensor) -> Tensor:
         g * (a.values >= LOG_CLAMP).astype(a.dtype) / clamped,))
 
 
+def _keep(g: np.ndarray, keep: np.ndarray,
+          out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The bytes of np.where(keep, g, 0) for a bool keep of g's shape, into
+    `out` (g's dtype) if given: g's bits and-ed with an all-ones or all-zeros
+    integer of the same width. A kept element keeps its bits (-0.0, NaN, inf);
+    a dropped one is +0.0. Unlike where's select, the and does not branch on
+    an unpredictable mask."""
+    ints = np.dtype(f"i{g.dtype.itemsize}")
+    bits = np.negative(keep, dtype=ints)
+    return np.bitwise_and(g.view(ints), bits, out=bits if out is None
+                          else out.view(ints)).view(g.dtype)
+
+
 def relu(a: Tensor) -> Tensor:
     return Tensor(np.maximum(a.values, 0), parents=(a,), op="relu",
-                  grad_fn=lambda g: (np.where(a.values > 0, g, 0),))
+                  grad_fn=lambda g: (_keep(g, a.values > 0),))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -400,7 +413,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
         cols2d = win.transpose(0, 1, 2, 4, 5, 3).reshape(n * h * w, kh * kw * cin)
     kmat = kernel.values.reshape(kh * kw * cin, cout)
-    out = (cols2d @ kmat).reshape(n, h, w, cout) + bias.values
+    out = (cols2d @ kmat).reshape(n, h, w, cout)
+    out += bias.values
 
     def grad_fn(g):
         g2d = g.reshape(n * h * w, cout)
@@ -455,7 +469,7 @@ def maxpool2d(x: Tensor, window: int = 2) -> Tensor:
         free = np.ones(out.shape, dtype=bool)    # windows not yet routed
         for view, dview in zip(_windows(xv, window), _windows(dx, window)):
             hit = free & (view == out)
-            dview[...] = np.where(hit, g, 0)
+            _keep(g, hit, out=dview)
             free &= ~hit
         return (dx,)
 

@@ -149,9 +149,10 @@ def _sgd_step(model: UNet, opt: _SGD, batch: Sequence[SiteSample],
     images, masks, sources = _batch_arrays(batch)
     pred, taps = model.forward(images)
     aux_taps = taps if fd else []
-    pooled = [pool_mask(masks, tap.downsample_factor) for tap in aux_taps]
-    bd = total_loss(pred, masks, aux_taps, pooled, state, exch_enabled=exch,
-                    source_tags=sources, exch_seed=exch_seed)
+    factors = [tap.downsample_factor for tap in aux_taps]
+    pooled = {f: pool_mask(masks, f) for f in set(factors)}     # once per factor
+    bd = total_loss(pred, masks, aux_taps, [pooled[f] for f in factors], state,
+                    exch_enabled=exch, source_tags=sources, exch_seed=exch_seed)
     if not math.isfinite(bd.total):
         raise TrainingAborted(
             f"first bad tap: {_first_nonfinite_tap(pred, taps, bd, state.alpha)}")

@@ -462,6 +462,12 @@ def test_sweep_csv_bad_header_names_line_1(tmp_path):
                          "test_iou_base,status\n0,0.5,seg+fd,0.9,0.8,ok\n")
 
 
+def test_sweep_csv_swapped_metric_columns_are_a_header_error(tmp_path):
+    with pytest.raises(ValueError, match="malformed sweep CSV header at line 1"):
+        _read_sweep_text(tmp_path, "condition,seed,loss_mode,test_iou_base,"
+                         "test_dice_base,status\n0.0,0,seg_only,0.5,0.9,ok\n")
+
+
 def test_sweep_csv_roundtrip(tmp_path):
     result = SweepResult(rows=[
         SweepRow(0.25, 3, "seg+fd+exch", 0.875, 0.778),

@@ -13,7 +13,8 @@ import fdseg.losses
 from fdseg.losses import (AlphaState, MaskedFeatureSummary, alpha_update,
                           bce_loss, dice_loss, fd_exch_loss, fd_loss,
                           feature_summary, pool_mask, seg_loss, total_loss)
-from fdseg.tensor import ContractError, Tape, Tensor, backward, tsum
+from fdseg.tensor import (ContractError, DimensionError, Tape, Tensor,
+                          backward, tsum)
 from fdseg.unet import FeatureTap, UNetConfig, init_params
 
 
@@ -116,6 +117,27 @@ def test_pool_mask_matches_window_oracle():
         for j in range(4):
             expected = float(m[0, 2 * i:2 * i + 2, 2 * j:2 * j + 2, 0].max())
             assert out[0, i, j, 0] == expected
+
+
+@pytest.mark.parametrize("factor", [1, 2, 4, 8])
+@pytest.mark.parametrize("shape", [(1, 8, 8, 1), (3, 16, 8, 1), (2, 8, 24, 1)])
+def test_pool_mask_bytes_match_block_max(shape, factor):
+    """The running maximum gives the bytes of the (n, h/f, f, w/f, f, c)
+    reshape's max over its block axes, on square, rectangular and batched
+    masks."""
+    n, h, w, c = shape
+    m = binary_mask(shape, 0.3, seed=factor)
+    ref = m.reshape(n, h // factor, factor, w // factor, factor, c).max(axis=(2, 4))
+    out = pool_mask(tb(m), factor).values
+    assert out.shape == ref.shape and out.dtype == ref.dtype
+    assert out.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 6, 8, 1), (1, 8, 6, 1)])
+def test_pool_mask_indivisible_size_names_spatial(shape):
+    with pytest.raises(DimensionError, match="not divisible by factor 4") as err:
+        pool_mask(tb(np.zeros(shape)), 4)
+    assert err.value.axis == "spatial"
 
 
 # -- feature_summary ----------------------------------------------------------------

@@ -439,6 +439,97 @@ def test_maxpool_forward_propagates_nan():
     assert np.isnan(out.values).all()
 
 
+# -- branch-free masks ------------------------------------------------------------
+
+def _special_floats(dtype):
+    """Finite floats of dtype's width plus the values a select must keep bit
+    for bit: signed zeros, NaN and both infinities."""
+    return st.one_of(st.sampled_from([-0.0, 0.0, np.nan, np.inf, -np.inf]),
+                     st.floats(width=8 * np.dtype(dtype).itemsize))
+
+
+@st.composite
+def keep_inputs(draw):
+    """(g, keep): g float32 or float64, drawn C-contiguous, as the interior
+    view of a padded array (like conv's dx), or broadcast from one pixel."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    n, h, w, c = (draw(st.integers(1, 4)) for _ in range(4))
+    layout = draw(st.sampled_from(["contiguous", "padded", "broadcast"]))
+    if layout == "padded":
+        g = draw(hnp.arrays(dtype, (n, h + 2, w + 2, c),
+                            elements=_special_floats(dtype)))[:, 1:-1, 1:-1, :]
+    elif layout == "broadcast":
+        g = np.broadcast_to(draw(hnp.arrays(dtype, (1, 1, 1, c),
+                                            elements=_special_floats(dtype))),
+                            (n, h, w, c))
+    else:
+        g = draw(hnp.arrays(dtype, (n, h, w, c), elements=_special_floats(dtype)))
+    return g, draw(hnp.arrays(np.bool_, (n, h, w, c)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(keep_inputs())
+def test_keep_bytes_match_where(case):
+    g, keep = case
+    ref = np.where(keep, g, 0)
+    got = tensor._keep(g, keep)
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+    # into a strided view of a larger buffer, whose border stays untouched
+    buf = np.full((g.shape[0], g.shape[1] + 2, g.shape[2] + 2, g.shape[3]), 7,
+                  dtype=g.dtype)
+    assert tensor._keep(g, keep, out=buf[:, 1:-1, 1:-1, :]).tobytes() == ref.tobytes()
+    assert buf[:, 1:-1, 1:-1, :].tobytes() == ref.tobytes()
+    buf[:, 1:-1, 1:-1, :] = 7
+    assert np.all(buf == 7)
+
+
+@st.composite
+def masked_op_inputs(draw, window):
+    """(x, g) with signed zeros, NaN and infinities in both, so that relu's
+    mask meets its edge cases and max-pool windows tie."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    n, h2, w2, c = (draw(st.integers(1, 3)) for _ in range(4))
+    values = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, np.nan, np.inf,
+                              -np.inf])
+    x = draw(hnp.arrays(dtype, (n, h2 * window, w2 * window, c), elements=values))
+    g = draw(hnp.arrays(dtype, (n, h2, w2, c), elements=_special_floats(dtype)))
+    return x, g
+
+
+@settings(max_examples=200, deadline=None)
+@given(masked_op_inputs(window=1))
+def test_relu_backward_bytes_match_where(case):
+    x, g = case
+    (dx,) = relu(Tensor(x, requires_grad=True))._grad_fn(g)
+    ref = np.where(x > 0, g, 0)
+    assert dx.dtype == ref.dtype and dx.tobytes() == ref.tobytes()
+
+
+def where_maxpool_backward(x, out, g, window):
+    """maxpool2d's input gradient as a np.where select per window offset,
+    routed to the first row-major element that equals the window's max."""
+    dx = np.empty_like(x)
+    free = np.ones(out.shape, dtype=bool)
+    for i in range(window):
+        for j in range(window):
+            hit = free & (x[:, i::window, j::window] == out)
+            dx[:, i::window, j::window] = np.where(hit, g, 0)
+            free &= ~hit
+    return dx
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(
+    lambda window: st.tuples(st.just(window), masked_op_inputs(window))))
+def test_maxpool_backward_bytes_match_where(case):
+    window, (x, g) = case
+    out = maxpool2d(Tensor(x, requires_grad=True), window)
+    (dx,) = out._grad_fn(g)
+    ref = where_maxpool_backward(x, out.values, g, window)
+    assert dx.dtype == ref.dtype and dx.tobytes() == ref.tobytes()
+
+
 # -- upsample ---------------------------------------------------------------------
 
 def test_upsample_single_pixel():

@@ -270,6 +270,26 @@ def test_nan_fd_under_zero_alpha_keeps_alpha_zero():
         assert state.alpha[0] > 0 and state.alpha[1] == 0
 
 
+def test_fd_step_pools_the_mask_once_per_factor(monkeypatch):
+    """A depth-2 seg+fd step has taps at factors 1, 2, 4, 2, 1; it pools the
+    batch's mask once for each distinct factor, through trainer.pool_mask."""
+    from fdseg.losses import AlphaState
+    from fdseg.trainer import _SGD, _sgd_step
+
+    real, calls = fdseg.trainer.pool_mask, Counter()
+
+    def spy(mask, factor):
+        calls[factor] += 1
+        return real(mask, factor)
+
+    monkeypatch.setattr(fdseg.trainer, "pool_mask", spy)
+    model = tiny_model()
+    state = AlphaState.fresh(len(model.config.tap_names()))
+    _sgd_step(model, _SGD(model.params, 0.01), tiny_datasets()["train"][:4],
+              state, fd=True, exch=False, exch_seed=0)
+    assert calls == {1: 1, 2: 1, 4: 1}
+
+
 # -- evaluate -----------------------------------------------------------------------
 
 def test_evaluate_perfect_model():
