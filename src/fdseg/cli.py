@@ -86,10 +86,10 @@ def _typed(path: str, key: str, value, default):
     return value
 
 
-def _load_config_file(path: str | None, settings: dict) -> dict:
+def _load_config_file(path: str | None, command: str, settings: dict) -> dict:
     """Values from a JSON config file, or from the `config` object of a run's
-    manifest.json. A key the command does not know, or a value whose type
-    differs from its setting's, is an error."""
+    manifest.json. A manifest of another command, a key the command does not
+    know, or a value whose type differs from its setting's, is an error."""
     if not path:
         return {}
     with open(path, encoding="utf-8") as fh:
@@ -97,6 +97,9 @@ def _load_config_file(path: str | None, settings: dict) -> dict:
     if not isinstance(cfg, dict):
         raise ContractError(f"{path}: config must be a JSON object")
     if isinstance(cfg.get("config"), dict):
+        if cfg.get("command", command) != command:
+            raise ContractError(f"{path}: a manifest of {cfg['command']}, "
+                                f"not of {command}")
         cfg = cfg["config"]
     unknown = sorted(set(cfg) - set(settings))
     if unknown:
@@ -107,7 +110,7 @@ def _load_config_file(path: str | None, settings: dict) -> dict:
 def _resolve(args: argparse.Namespace, settings: dict) -> dict:
     """Defaults, overridden by config file values, overridden by CLI flags."""
     out = dict(settings)
-    out.update(_load_config_file(args.config, settings))
+    out.update(_load_config_file(args.config, args.command, settings))
     for key in settings:
         flag_val = getattr(args, key)
         if flag_val is not None:
@@ -159,9 +162,7 @@ def cmd_train(cfg: dict) -> Checked:
             best, history = train(tc, model,
                                   {"train": train_s, "val": val_s, "test": test_s})
         except TrainingAborted as exc:
-            if exc.last_good is not None:
-                save_checkpoint(exc.last_good,
-                                os.path.join(out, "last_good.ckpt"))
+            save_checkpoint(exc.last_good, os.path.join(out, "last_good.ckpt"))
             print(f"training aborted: {exc}", file=sys.stderr)
             return EXIT_ABORT
 

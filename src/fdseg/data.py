@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, asdict
 from typing import Sequence
@@ -33,6 +34,10 @@ class SiteConfig:
     image_size: tuple[int, int] = IMAGE_SIZE
 
     def __post_init__(self):
+        for key in ("fg_intensity_mean", "bg_intensity_mean", "texture_sigma"):
+            if not math.isfinite(value := getattr(self, key)):
+                raise ContractError(
+                    f"site {self.name}: {key} must be finite, got {value}")
         if abs(self.fg_intensity_mean - self.bg_intensity_mean) <= 0:
             raise ContractError(
                 f"site {self.name}: fg and bg intensities must differ")

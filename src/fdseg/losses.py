@@ -210,7 +210,7 @@ class LossBreakdown:
     dice: float
     bce: float
     fd_per_tap: list[float] = field(default_factory=list)
-    fd_exch_per_tap: Optional[list[float]] = None
+    fd_exch_per_tap: list[float] = field(default_factory=list)
     total: float = 0.0
     total_tensor: Optional[Tensor] = None
 
@@ -233,7 +233,7 @@ def total_loss(pred: Tensor, target: Tensor, taps: Sequence[FeatureTap],
     seg_t, dice_t, bce_t = seg_loss(pred, target)
 
     fd_vals: list[float] = []
-    exch_vals: Optional[list[float]] = [] if exch_enabled else None
+    exch_vals: list[float] = []
     total_t = seg_t
     # Report the scalar total in double precision so it satisfies the
     # seg + sum(alpha * contributions) identity regardless of the float32

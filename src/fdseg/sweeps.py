@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import (BASE_SITE, DATA_SEED, NOVEL_SITE, SiteConfig, generate_site,
                    split_dataset)
-from .tensor import ContractError, _openblas
+from .tensor import ContractError, DimensionError, _openblas
 from .trainer import (LOSS_MODES, TrainConfig, TrainingAborted, evaluate,
                       one_blas_thread, train, write_csv)
 from .unet import UNetConfig, init_params
@@ -98,6 +98,11 @@ def check_settings(settings: SweepSettings, conditions: Sequence[float],
         for i, value in enumerate(values):
             if value in values[:i]:
                 raise ContractError(f"sweep {what} {value!r} is repeated")
+    base, novel = settings.base_site.image_size, settings.novel_site.image_size
+    if novel != base:
+        raise DimensionError(f"novel site images are {novel[0]}x{novel[1]} but "
+                             f"base site images are {base[0]}x{base[1]}",
+                             axis="spatial")
     _unet_config(settings)
     for loss_mode in loss_modes:
         for seed in seeds:

@@ -7,7 +7,7 @@ import csv
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -77,7 +77,7 @@ class EpochRecord:
     dice_loss: float
     bce: float
     fd_per_tap: list[float]
-    fd_exch_per_tap: Optional[list[float]]
+    fd_exch_per_tap: list[float]
     alpha: list[float]
     val_dice: float
 
@@ -131,8 +131,6 @@ class _SGD:
 
     def step(self) -> None:
         for k, p in self.params.items():
-            if p.grad is None:
-                continue
             v = MOMENTUM * self.velocity[k] + p.grad
             self.velocity[k] = v
             p.values -= (self.lr * v).astype(p.values.dtype)
@@ -171,10 +169,8 @@ def train(config: TrainConfig, model: UNet,
     if config.augment_train:
         train_set = [aug for s in train_set for aug in augment(s)]
     if config.noise_sigma > 0:
-        train_set = [SiteSample(
-            image=add_gaussian_noise(s.image, config.noise_sigma,
-                                     seed=config.seed ^ (i + 1)),
-            mask=s.mask, source=s.source, id=s.id)
+        train_set = [replace(s, image=add_gaussian_noise(
+            s.image, config.noise_sigma, seed=config.seed ^ (i + 1)))
             for i, s in enumerate(train_set)]
     val_set = datasets["val"]
 
@@ -204,7 +200,7 @@ def train(config: TrainConfig, model: UNet,
             except TrainingAborted as exc:
                 raise TrainingAborted(f"non-finite loss at epoch {epoch}, {exc}",
                                       last_good=best_model) from None
-            if bd.fd_per_tap:
+            if fd:
                 state = alpha_update(state, np.asarray(bd.fd_per_tap),
                                      step=step, warmup_steps=warmup_steps)
             ep_rows.append(bd)
@@ -217,16 +213,15 @@ def train(config: TrainConfig, model: UNet,
             best_model = model.clone()
 
         n_rows = len(ep_rows)
-        fd_cols = [r.fd_per_tap for r in ep_rows if r.fd_per_tap]
-        exch_cols = [r.fd_exch_per_tap for r in ep_rows if r.fd_exch_per_tap]
         history.append(EpochRecord(
             epoch=epoch, phase=phase,
             total=sum(r.total for r in ep_rows) / n_rows,
             seg=sum(r.seg for r in ep_rows) / n_rows,
             dice_loss=sum(r.dice for r in ep_rows) / n_rows,
             bce=sum(r.bce for r in ep_rows) / n_rows,
-            fd_per_tap=list(np.mean(fd_cols, axis=0)) if fd_cols else [],
-            fd_exch_per_tap=list(np.mean(exch_cols, axis=0)) if exch_cols else None,
+            fd_per_tap=list(np.mean([r.fd_per_tap for r in ep_rows], axis=0)),
+            fd_exch_per_tap=list(np.mean([r.fd_exch_per_tap for r in ep_rows],
+                                         axis=0)),
             alpha=list(map(float, state.alpha)),
             val_dice=val_dice))
 
@@ -270,17 +265,15 @@ def _evaluate_chunk(model: UNet, chunk: Sequence[SiteSample]) -> list[MetricsRec
     pred, taps = model.forward(images)
     s = feature_summary(taps[-1].activation, masks)
     fds = neg_log_sq_norm(s.per_sample_fg - s.per_sample_bg, axis=3).values
-    hard = (pred.values > EVAL_THRESHOLD).astype(np.float64)
-    mv = masks.values.astype(np.float64)
+    hard, fg = pred.values > EVAL_THRESHOLD, masks.values > 0
+    counts = [np.count_nonzero(m, axis=(1, 2, 3)).tolist()
+              for m in (hard & fg, hard, fg)]
     records = []
-    for i, sample in enumerate(chunk):
-        inter = float((hard[i] * mv[i]).sum())
-        a, b = float(hard[i].sum()), float(mv[i].sum())
+    for sample, inter, a, b, fd in zip(chunk, *counts, fds[:, 0, 0, 0].tolist()):
         union = a + b - inter
-        dice = 2.0 * inter / (a + b) if a + b > 0 else 1.0
-        iou = inter / union if union > 0 else 1.0
-        records.append(MetricsRecord(sample_id=sample.id, dice=dice, iou=iou,
-                                     fd_last_decoder=float(fds[i, 0, 0, 0])))
+        records.append(MetricsRecord(
+            sample_id=sample.id, dice=2.0 * inter / (a + b) if a + b else 1.0,
+            iou=inter / union if union else 1.0, fd_last_decoder=fd))
     return records
 
 
@@ -373,9 +366,8 @@ def write_history_csv(path: str, history: Sequence[EpochRecord],
               *(p + t for p in prefixes for t in tap_names), "val_dice"]
     write_csv(path, header, (
         [r.epoch, r.phase, r.total, r.seg, r.dice_loss, r.bce,
-         *(r.fd_per_tap if has_fd else []),
-         *(r.fd_exch_per_tap if has_exch else []),
-         *(r.alpha if has_fd else []), r.val_dice]
+         *r.fd_per_tap, *r.fd_exch_per_tap, *(r.alpha if has_fd else []),
+         r.val_dice]
         for r in history))
 
 

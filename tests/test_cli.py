@@ -123,6 +123,26 @@ def test_config_unknown_key_exits_config_error(tmp_path, capsys):
     assert not os.path.exists(os.path.join(out, "manifest.json"))
 
 
+@pytest.mark.parametrize("made_by,argv", [
+    (["gen-data", "--n-samples", "12", "--image-size", "16"],
+     ["train"] + FAST_TRAIN),
+    (["noise-sweep", "--loss-modes", "seg_only"] + FAST_SWEEP,
+     ["data-addition"] + FAST_SWEEP),
+], ids=["gen-data-to-train", "noise-sweep-to-data-addition"])
+def test_manifest_of_another_command_exits_config_error(tmp_path, capsys,
+                                                        monkeypatch, made_by,
+                                                        argv):
+    monkeypatch.setenv("FDSEG_WORKERS", "1")
+    first, out = str(tmp_path / "first"), str(tmp_path / "run")
+    assert main(made_by + ["--out", first]) == 0
+    capsys.readouterr()
+    manifest = os.path.join(first, "manifest.json")
+    assert main([argv[0], "--config", manifest, "--out", out] + argv[1:]) == 2
+    assert (f"a manifest of {made_by[0]}, not of {argv[0]}"
+            in capsys.readouterr().err)
+    assert not os.path.exists(os.path.join(out, "manifest.json"))
+
+
 FAST_CONFIG = {"loss": "seg_only", "image_size": 16, "n_samples": 12,
                "phase1_epochs": 1, "phase2_epochs": 1, "batch_size": 4,
                "no_augment": True, "base_channels": 4}

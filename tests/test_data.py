@@ -21,6 +21,14 @@ def flat_config(**kw):
     return SiteConfig(**base)
 
 
+@pytest.mark.parametrize("key", ["fg_intensity_mean", "bg_intensity_mean",
+                                 "texture_sigma"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_site_rejects_non_finite_value(key, value):
+    with pytest.raises(ContractError, match=f"{key} must be finite"):
+        flat_config(**{key: value})
+
+
 def test_degenerate_site_rejected():
     with pytest.raises(Exception):
         flat_config(fg_intensity_mean=0.5, bg_intensity_mean=0.5)

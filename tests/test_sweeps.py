@@ -17,7 +17,7 @@ from fdseg.data import BASE_SITE, NOVEL_SITE
 from fdseg.sweeps import (SweepRow, SweepSettings, _openblas, _run_cells,
                           check_settings, data_addition_sweep, noise_sweep,
                           pool_runtime, run_data_addition_cell, write_sweep_csv)
-from fdseg.tensor import ContractError
+from fdseg.tensor import ContractError, DimensionError
 from fdseg.trainer import TrainingAborted, blas_threads, set_blas_threads
 
 CALLER = os.getpid()      # a forked worker inherits this value, not the pid
@@ -280,6 +280,18 @@ def test_check_settings_rejects_a_repeated_value(conditions, modes, seeds,
                                                   repeated):
     with pytest.raises(ContractError, match=f"sweep {repeated} is repeated"):
         check_settings(TINY, conditions, modes, seeds)
+
+
+@pytest.mark.parametrize("sweep", [data_addition_sweep, noise_sweep])
+def test_sites_of_different_sizes_fail_the_sweep_before_any_cell(monkeypatch,
+                                                                  sweep):
+    monkeypatch.setattr(fdseg.sweeps, "_run_cells",
+                        lambda fn, cells: pytest.fail("a cell ran"))
+    settings = dataclasses.replace(TINY, novel_site=dataclasses.replace(
+        NOVEL_SITE, image_size=(32, 32)))
+    with pytest.raises(DimensionError, match="32x32 .* 16x16") as exc:
+        sweep(settings, (0.0, 1.0), ("seg_only",), (0,))
+    assert exc.value.axis == "spatial"
 
 
 def test_repeated_seed_fails_the_sweep_before_any_cell(monkeypatch):

@@ -9,13 +9,17 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import fdseg.trainer
-from fdseg.data import BASE_SITE, SiteConfig, generate_site, split_dataset
+from fdseg.data import (BASE_SITE, SiteConfig, SiteSample, generate_site,
+                        split_dataset)
 from fdseg.losses import fd_loss, feature_summary, neg_log_sq_norm
 from fdseg.tensor import ContractError, Tensor
-from fdseg.trainer import (LOSS_MODES, MetricsRecord, TrainConfig, _openblas,
-                           blas_threads, evaluate, one_sample_t_test,
+from fdseg.trainer import (LOSS_MODES, LOSS_TABLE, MetricsRecord, TrainConfig,
+                           _openblas, blas_threads, evaluate, one_sample_t_test,
                            partition_worst_off, set_blas_threads, train,
                            write_eval_csv, write_history_csv)
 from fdseg.unet import UNetConfig, init_params
@@ -290,6 +294,23 @@ def test_fd_step_pools_the_mask_once_per_factor(monkeypatch):
     assert calls == {1: 1, 2: 1, 4: 1}
 
 
+@pytest.mark.parametrize("loss_mode", ["seg_only", "seg+fd"])
+def test_mode_without_exch_records_an_empty_exch_list(loss_mode):
+    from fdseg.losses import AlphaState
+    from fdseg.trainer import _SGD, _sgd_step
+
+    fd, exch = LOSS_TABLE[loss_mode]
+    model = tiny_model()
+    state = AlphaState.fresh(len(model.config.tap_names()))
+    bd = _sgd_step(model, _SGD(model.params, 0.01), tiny_datasets()["train"][:4],
+                   state, fd=fd, exch=exch, exch_seed=0)
+    assert bd.fd_exch_per_tap == []
+    _, history = train(quick_config(loss_mode=loss_mode, phase1_epochs=1,
+                                    phase2_epochs=1), tiny_model(),
+                       tiny_datasets())
+    assert [r.fd_exch_per_tap for r in history] == [[], []]
+
+
 # -- evaluate -----------------------------------------------------------------------
 
 def test_evaluate_perfect_model():
@@ -326,6 +347,50 @@ def test_evaluate_constant_half_prediction_is_empty():
     data = tiny_datasets()
     recs = evaluate(Flat(), data["test"])
     assert all(r.dice == 0.0 for r in recs)
+
+
+class Echo:
+    """A model stub whose prediction and last tap are its input images."""
+
+    def forward(self, images):
+        from fdseg.unet import FeatureTap
+        return Tensor(images.values), [FeatureTap("dec_2", images, 1)]
+
+
+def float64_sum_scores(hard, mask):
+    """Dice and IoU of one sample from float64 sums of its 0/1 prediction
+    and mask."""
+    hard, mask = hard.astype(np.float64), mask.astype(np.float64)
+    inter = float((hard * mask).sum())
+    a, b = float(hard.sum()), float(mask.sum())
+    dice = 2.0 * inter / (a + b) if a + b > 0 else 1.0
+    iou = inter / (a + b - inter) if a + b - inter > 0 else 1.0
+    return dice, iou
+
+
+# (predictions, masks): n 4x4 0/1 images each
+binary_stacks = st.integers(1, 20).flatmap(lambda n: st.tuples(*[
+    hnp.arrays(np.float32, (n, 4, 4, 1), elements=st.sampled_from([0.0, 1.0]))
+    for _ in range(2)]))
+EMPTY, FULL = np.zeros((3, 4, 4, 1), np.float32), np.ones((3, 4, 4, 1), np.float32)
+
+
+@settings(max_examples=100, deadline=None)
+@given(binary_stacks)
+@example((EMPTY, FULL))
+@example((FULL, EMPTY))
+@example((np.zeros((17, 4, 4, 1), np.float32),) * 2)    # both empty, two chunks
+def test_evaluate_scores_equal_float64_sums(stacks):
+    """Dice and IoU are the floats that float64 sums of each sample's 0/1
+    prediction and mask give, empty predictions and empty masks included."""
+    preds, masks = stacks
+    samples = [SiteSample(image=p, mask=m, source="base", id=i)
+               for i, (p, m) in enumerate(zip(preds, masks))]
+    recs = evaluate(Echo(), samples)
+    assert [r.sample_id for r in recs] == list(range(len(samples)))
+    for r, p, m in zip(recs, preds, masks):
+        assert type(r.dice) is float and type(r.iou) is float
+        assert (r.dice, r.iou) == float64_sum_scores(p > 0.5, m)
 
 
 def test_evaluate_matches_confusion_matrix_oracle():
