@@ -137,10 +137,6 @@ def _write_manifest(out: str, command: str, resolved: dict,
         json.dump(payload, fh, indent=2, sort_keys=True)
 
 
-def _parse_seeds(text: str) -> list[int]:
-    return [int(s) for s in text.split(",") if s.strip() != ""]
-
-
 Job = Callable[[str], int]   # runs a checked command in its output dir
 Checked = tuple[Job, dict | None]   # the job, and its manifest runtime record
 
@@ -188,8 +184,8 @@ def cmd_gen_data(cfg: dict) -> Checked:
     return job, None
 
 
-# command -> (sweep function, condition grid, default loss modes, chart title,
-#             chart x label)
+# command -> (sweep function, condition grid, default loss modes, chart title
+#             (the command's help too), chart x label)
 SWEEPS = {
     "data-addition": (data_addition_sweep, DATA_ADDITION_FRACTIONS, LOSS_MODES,
                       "Base-test Dice vs novel-data fraction",
@@ -200,23 +196,38 @@ SWEEPS = {
 
 
 def cmd_sweep(name: str, cfg: dict) -> Checked:
-    sweep, grid, _, title, x_label = SWEEPS[name]
+    sweep, grid, *_ = SWEEPS[name]
     size = (cfg["image_size"], cfg["image_size"])
     settings = SweepSettings(base_site=_site("base", size),
                              novel_site=_site("novel", size),
                              augment_train=not cfg["no_augment"],
                              **{k: cfg[k] for k in _SWEEP_FIELDS})
-    loss_modes, seeds = cfg["loss_modes"].split(","), _parse_seeds(cfg["seeds"])
+    loss_modes = cfg["loss_modes"].split(",")
+    seeds = [int(s) for s in cfg["seeds"].split(",") if s.strip()]
     check_settings(settings, grid, loss_modes, seeds)
 
     def job(out: str) -> int:
         result = sweep(settings, grid, loss_modes=loss_modes, seeds=seeds)
-        stem = os.path.join(out, name.replace("-", "_"))
-        write_sweep_csv(stem + ".csv", result)
-        write_sweep_chart(result, stem + ".svg", title=title, x_label=x_label)
-        print(f"wrote {stem}.csv")
+        csv_path = os.path.join(out, name.replace("-", "_") + ".csv")
+        write_sweep_csv(csv_path, result)
+        print(f"wrote {csv_path}")
+        kinds = [r.status.split(":")[0] for r in result.rows]
+        if "ok" not in kinds:       # no cell left a score to chart
+            print(f"every cell failed: {kinds.count('aborted')} aborted, "
+                  f"{kinds.count('error')} errored", file=sys.stderr)
+            return EXIT_ABORT
+        write_chart(csv_path)
         return EXIT_OK
     return job, pool_runtime(len(grid) * len(loss_modes) * len(seeds))
+
+
+def write_chart(csv_path: str) -> None:
+    """Chart a sweep CSV beside it, titled as its sweep, else by its name."""
+    stem = os.path.splitext(csv_path)[0]
+    name = os.path.basename(stem)
+    *_, title, x_label = SWEEPS.get(name.replace("_", "-"), (name, "condition"))
+    write_sweep_chart(read_sweep_csv(csv_path), stem + ".svg", title, x_label)
+    print(f"wrote {stem}.svg")
 
 
 def cmd_lemma_checks(cfg: dict) -> Checked:
@@ -268,13 +279,7 @@ def _lemma_checks(cfg: dict, out: str) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     for csv_path in args.csv:
-        result = read_sweep_csv(csv_path)
-        if not result.rows:
-            raise ValueError(f"{csv_path}: empty sweep, nothing to plot")
-        out_path = os.path.splitext(csv_path)[0] + ".svg"
-        write_sweep_chart(result, out_path,
-                          title=os.path.basename(os.path.splitext(csv_path)[0]))
-        print(f"wrote {out_path}")
+        write_chart(csv_path)
     return EXIT_OK
 
 
@@ -286,8 +291,9 @@ COMMANDS = {
     "gen-data": (cmd_gen_data, GEN_DATA_SETTINGS,
                  "write a synthetic site as PGM files"),
     **{name: (functools.partial(cmd_sweep, name),
-              {**SWEEP_SETTINGS, "loss_modes": ",".join(modes)}, None)
-       for name, (_, _, modes, _, _) in SWEEPS.items()},
+              {**SWEEP_SETTINGS, "loss_modes": ",".join(modes)},
+              f"measure {title[0].lower()}{title[1:]}")
+       for name, (_, _, modes, title, _) in SWEEPS.items()},
     "lemma-checks": (cmd_lemma_checks, LEMMA_SETTINGS, "run the theory checks"),
 }
 

@@ -3,6 +3,7 @@ protocol, run as independent seeded cells in a worker pool."""
 from __future__ import annotations
 
 import csv
+import math
 import os
 import traceback
 from collections import deque
@@ -218,11 +219,17 @@ def _run_cells(fn, cells: list[tuple]) -> list[SweepRow]:
     return rows
 
 
-def _sweep(fn, settings: SweepSettings, conditions: Sequence[float],
-           loss_modes: Sequence[str], seeds: Sequence[int]) -> SweepResult:
+def _sweep(fn, what: str, most: float, settings: SweepSettings,
+           conditions: Sequence[float], loss_modes: Sequence[str],
+           seeds: Sequence[int]) -> SweepResult:
     """fn of each (condition, loss mode, seed) cell once check_settings has
-    passed them; an int condition is stored, and prints, as a float."""
+    passed them and each condition, a `what`, is finite and in [0, most];
+    an int condition is stored, and prints, as a float."""
     check_settings(settings, conditions, loss_modes, seeds)
+    for c in conditions:
+        if not (math.isfinite(c) and 0 <= c <= most):
+            raise ContractError(f"{what} must be finite and in [0, {most:g}], "
+                                f"got {c!r}")
     cells = [(settings, float(c), s, m)
              for c in conditions for m in loss_modes for s in seeds]
     return SweepResult(rows=_run_cells(fn, cells))
@@ -232,14 +239,16 @@ def data_addition_sweep(settings: SweepSettings,
                         fractions: Sequence[float] = DATA_ADDITION_FRACTIONS,
                         loss_modes: Sequence[str] = LOSS_MODES,
                         seeds: Sequence[int] = SWEEP_SEEDS) -> SweepResult:
-    return _sweep(run_data_addition_cell, settings, fractions, loss_modes, seeds)
+    return _sweep(run_data_addition_cell, "novel-data fraction", 1.0, settings,
+                  fractions, loss_modes, seeds)
 
 
 def noise_sweep(settings: SweepSettings,
                 sigmas: Sequence[float] = NOISE_SWEEP_GRID,
                 loss_modes: Sequence[str] = NOISE_SWEEP_MODES,
                 seeds: Sequence[int] = SWEEP_SEEDS) -> SweepResult:
-    return _sweep(run_noise_cell, settings, sigmas, loss_modes, seeds)
+    return _sweep(run_noise_cell, "noise sigma", math.inf, settings, sigmas,
+                  loss_modes, seeds)
 
 
 def write_sweep_csv(path: str, result: SweepResult) -> None:

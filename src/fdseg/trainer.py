@@ -165,6 +165,9 @@ def train(config: TrainConfig, model: UNet,
     """Phase 1 runs with alpha in warmup; phase 2 activates multiplier ascent per
     batch. Returns the checkpoint with the highest validation Dice plus the
     per-epoch history."""
+    for split in ("train", "val"):
+        if not datasets[split]:
+            raise ContractError(f"train() needs a non-empty {split} split")
     train_set = list(datasets["train"])
     if config.augment_train:
         train_set = [aug for s in train_set for aug in augment(s)]
@@ -206,8 +209,7 @@ def train(config: TrainConfig, model: UNet,
             ep_rows.append(bd)
             step += 1
 
-        val_dice = float(np.mean([r.dice for r in evaluate(model, val_set)])) \
-            if val_set else 0.0
+        val_dice = float(np.mean([r.dice for r in evaluate(model, val_set)]))
         if val_dice > best_val:
             best_val = val_dice
             best_model = model.clone()

@@ -8,12 +8,14 @@ from xml.etree import ElementTree
 import pytest
 
 import fdseg.cli
+import fdseg.sweeps
 from fdseg.cli import (GEN_DATA_SETTINGS, SWEEP_SETTINGS, TRAIN_SETTINGS,
                        main)
 from fdseg.data import BASE_SITE, NOVEL_SITE
 from fdseg.sweeps import (SweepResult, SweepRow, SweepSettings, read_sweep_csv,
                           write_sweep_csv)
-from fdseg.trainer import TrainConfig, blas_threads, set_blas_threads
+from fdseg.trainer import (TrainConfig, TrainingAborted, blas_threads,
+                           set_blas_threads)
 from fdseg.unet import UNetConfig
 from fdseg.report import sweep_chart_svg, write_sweep_chart
 
@@ -503,3 +505,70 @@ def test_sweep_csv_roundtrip(tmp_path):
     assert back.rows[1].status.startswith("aborted")
     # aborted rows are excluded from aggregation
     assert (0.5, "seg_only") not in back.aggregate()
+
+
+@pytest.mark.parametrize("command", ["data-addition", "noise-sweep"])
+def test_report_redraws_a_sweep_svg_byte_for_byte(tmp_path, monkeypatch,
+                                                   command):
+    monkeypatch.setenv("FDSEG_WORKERS", "1")
+    out = str(tmp_path / "sweep")
+    assert main([command, "--out", out] + FAST_ARGS[command]) == 0
+    stem = os.path.join(out, command.replace("-", "_"))
+    with open(stem + ".svg", "rb") as fh:
+        drawn = fh.read()
+    os.remove(stem + ".svg")
+    assert main(["report", stem + ".csv"]) == 0
+    with open(stem + ".svg", "rb") as fh:
+        assert fh.read() == drawn
+    *_, title, x_label = fdseg.cli.SWEEPS[command]
+    texts = [t.text for t in ElementTree.fromstring(drawn).iter(
+        "{http://www.w3.org/2000/svg}text")]
+    assert title in texts and x_label in texts
+
+
+def _failing_train(cfg, model, splits):
+    if cfg.seed == 0:
+        raise TrainingAborted("loss is nan")
+    raise RuntimeError("boom")
+
+
+@pytest.mark.parametrize("flags,failing_train,counts", [
+    (["--lr", "1e12"], None, "10 aborted, 0 errored"),
+    ([], _failing_train, "5 aborted, 5 errored"),
+], ids=["diverged", "aborted_and_errored"])
+def test_sweep_whose_every_cell_failed_exits_abort(tmp_path, capsys,
+                                                   monkeypatch, flags,
+                                                   failing_train, counts):
+    monkeypatch.setenv("FDSEG_WORKERS", "1")
+    if failing_train:
+        monkeypatch.setattr(fdseg.sweeps, "train", failing_train)
+    out = str(tmp_path / "noise")
+    assert main(["noise-sweep", "--out", out, "--loss-modes", "seg_only"]
+                + FAST_SWEEP + ["--seeds", "0,1"] + flags) == 3
+    assert f"every cell failed: {counts}" in capsys.readouterr().err
+    rows = read_sweep_csv(os.path.join(out, "noise_sweep.csv")).rows
+    assert len(rows) == 10 and not any(r.status == "ok" for r in rows)
+    assert not os.path.exists(os.path.join(out, "noise_sweep.svg"))
+
+
+def test_help_describes_every_command(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    listed = dict(re.findall(r"^ {4}([a-z-]+) +(.+)$",
+                             capsys.readouterr().out, re.MULTILINE))
+    assert set(listed) == set(fdseg.cli.COMMANDS) | {"report"}
+    assert listed["data-addition"] == \
+        "measure base-test Dice vs novel-data fraction"
+    assert listed["noise-sweep"] == \
+        "measure base-test Dice vs training noise sigma"
+
+
+def test_chart_of_a_single_condition_centres_it(tmp_path):
+    result = SweepResult(rows=[SweepRow(0.0, 0, "seg_only", 0.9, 0.8),
+                               SweepRow(0.0, 1, "seg_only", 0.7, 0.6)])
+    root = ElementTree.fromstring(sweep_chart_svg(result, "benefit"))
+    (circle,) = root.iter("{http://www.w3.org/2000/svg}circle")
+    assert circle.get("cx") == "280.000"    # the middle of the plot's width
+    ticks = [t for t in root.iter("{http://www.w3.org/2000/svg}text")
+             if t.text == "0.000" and t.get("x") == "280.000"]
+    assert len(ticks) == 1

@@ -1,4 +1,6 @@
 """Tests for synthetic site generation, augmentation, splits, and PGM I/O."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -269,3 +271,20 @@ def test_default_sites_are_shifted():
     assert BASE_SITE.fg_intensity_mean != NOVEL_SITE.fg_intensity_mean
     assert NOVEL_SITE.texture_sigma > BASE_SITE.texture_sigma
     assert NOVEL_SITE.blur_radius > BASE_SITE.blur_radius
+
+
+@pytest.mark.parametrize("field", ["texture_sigma", "blur_radius"])
+def test_site_rejects_negative_noise_or_blur(field):
+    with pytest.raises(ContractError, match="site base: negative noise/blur"):
+        dataclasses.replace(BASE_SITE, **{field: -1})
+
+
+@pytest.mark.parametrize("fill", [0.0, 1.0], ids=["background", "foreground"])
+def test_pgm_pair_whose_mask_has_one_class_is_rejected(tmp_path, fill):
+    sample = SiteSample(image=np.full((8, 8, 1), 0.5, np.float32),
+                        mask=np.full((8, 8, 1), fill, np.float32),
+                        source="base", id=7)
+    img_path, mask_path = save_pgm(sample, str(tmp_path))
+    with pytest.raises(ContractError,
+                       match="sample 7: mask must contain both classes"):
+        load_pgm_pair(img_path, mask_path, sample_id=7)

@@ -569,3 +569,29 @@ def test_composite_loss_gradient_check():
 
     x = np.random.default_rng(38).uniform(-1, 1, size=(1, 8, 8, 1))
     assert grad_check(composite, Tensor(x)) < 1e-3
+
+
+@pytest.mark.parametrize("loss", [dice_loss, bce_loss])
+def test_seg_loss_terms_reject_a_shape_mismatch(loss):
+    pred = Tensor(np.full((1, 4, 4, 1), 0.5, np.float32))
+    target = Tensor(np.zeros((1, 4, 2, 1), np.float32))
+    with pytest.raises(ContractError, match=r"shape mismatch: \(1, 4, 4, 1\) "
+                                            r"vs \(1, 4, 2, 1\)"):
+        loss(pred, target)
+
+
+@pytest.mark.parametrize("factor", [0, 3, 6])
+def test_pool_mask_rejects_a_factor_that_is_not_a_power_of_two(factor):
+    mask = Tensor(np.zeros((1, 12, 12, 1), np.float32))
+    with pytest.raises(DimensionError,
+                       match=f"factor must be a power of two, got {factor}"):
+        pool_mask(mask, factor)
+
+
+def test_fd_exch_rejects_a_tag_count_other_than_the_batch_size():
+    mask = np.zeros((2, 4, 4, 1), np.float32)
+    mask[:, :2] = 1.0
+    summary = feature_summary(Tensor(np.ones((2, 4, 4, 3), np.float32)),
+                              Tensor(mask))
+    with pytest.raises(ContractError, match="3 tags for batch of 2"):
+        fd_exch_loss(summary, source_tags=["base", "novel", "base"])

@@ -6,6 +6,7 @@ import dataclasses
 import math
 import multiprocessing
 import os
+import re
 import sys
 import threading
 import time
@@ -315,3 +316,33 @@ def test_int_conditions_print_as_floats_in_cell_order(monkeypatch, tmp_path,
     assert lines[1:] == [f"{c}.000000,{s},{m},0.500000,0.250000,ok"
                          for c in (0, 1) for m in ("seg_only", "seg+fd")
                          for s in (3, 4)] + [""]
+
+
+@pytest.mark.parametrize("sweep,condition,what", [
+    (data_addition_sweep, -0.5, "novel-data fraction"),
+    (data_addition_sweep, 1.5, "novel-data fraction"),
+    (data_addition_sweep, math.nan, "novel-data fraction"),
+    (data_addition_sweep, math.inf, "novel-data fraction"),
+    (noise_sweep, -0.1, "noise sigma"),
+    (noise_sweep, math.inf, "noise sigma"),
+    (noise_sweep, math.nan, "noise sigma"),
+], ids=["fraction_negative", "fraction_above_1", "fraction_nan",
+        "fraction_inf", "sigma_negative", "sigma_inf", "sigma_nan"])
+def test_condition_out_of_range_fails_the_sweep_before_any_cell(
+        monkeypatch, sweep, condition, what):
+    monkeypatch.setattr(fdseg.sweeps, "_run_cells",
+                        lambda fn, cells: pytest.fail("a cell ran"))
+    with pytest.raises(ContractError,
+                       match=f"{what} must be finite and in .*, "
+                             f"got {re.escape(repr(condition))}$"):
+        sweep(TINY, (0.0, condition), ("seg_only",), (0,))
+
+
+@pytest.mark.parametrize("sweep,edges", [(data_addition_sweep, (0, 1.0)),
+                                         (noise_sweep, (0, 1e6))],
+                         ids=["fractions", "sigmas"])
+def test_conditions_at_the_edges_of_their_range_run(monkeypatch, sweep, edges):
+    monkeypatch.setattr(fdseg.sweeps, "_run_cells", lambda fn, cells: [
+        SweepRow(c, s, m, 0.5, 0.25) for _, c, s, m in cells])
+    result = sweep(TINY, edges, ("seg_only",), (0,))
+    assert [r.condition for r in result.rows] == [0.0, float(edges[1])]

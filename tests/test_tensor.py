@@ -789,3 +789,53 @@ def test_no_grad_unet_forward_is_byte_equal(size, depth):
     assert pred_ng.values.tobytes() == pred.values.tobytes()
     for tap, tap_ng in zip(taps, taps_ng):
         assert tap_ng.activation.values.tobytes() == tap.activation.values.tobytes()
+
+
+def test_tensor_rejects_a_zero_size_axis():
+    with pytest.raises(DimensionError,
+                       match=r"all axes must be >= 1, got \(1, 0, 2, 1\)"):
+        Tensor(np.zeros((1, 0, 2, 1), np.float32))
+
+
+def test_concat_rejects_mismatched_batch_or_spatial_axes():
+    a = Tensor(np.zeros((1, 4, 4, 2), np.float32))
+    b = Tensor(np.zeros((1, 4, 2, 3), np.float32))
+    with pytest.raises(DimensionError, match=r"concat requires matching "
+                       r"\(n,h,w\), got \(1, 4, 4, 2\) vs \(1, 4, 2, 3\)") as err:
+        concat_channels(a, b)
+    assert err.value.axis == "spatial"
+
+
+def test_conv_rejects_an_even_kernel():
+    x = Tensor(np.zeros((1, 4, 4, 2), np.float32))
+    kernel = Tensor(np.zeros((2, 3, 2, 4), np.float32))
+    bias = Tensor(np.zeros((1, 1, 1, 4), np.float32))
+    with pytest.raises(DimensionError,
+                       match="kernel spatial dims must be odd, got 2x3") as err:
+        conv2d(x, kernel, bias)
+    assert err.value.axis == "kernel"
+
+
+def test_conv_rejects_a_bias_of_the_wrong_shape():
+    x = Tensor(np.zeros((1, 4, 4, 2), np.float32))
+    kernel = Tensor(np.zeros((3, 3, 2, 4), np.float32))
+    bias = Tensor(np.zeros((1, 1, 1, 3), np.float32))
+    with pytest.raises(DimensionError, match=r"bias must have shape "
+                       r"\(1,1,1,4\), got \(1, 1, 1, 3\)") as err:
+        conv2d(x, kernel, bias)
+    assert err.value.axis == "channels"
+
+
+def test_maxpool_rejects_a_width_not_divisible_by_the_window():
+    x = Tensor(np.zeros((1, 4, 6, 1), np.float32))
+    with pytest.raises(DimensionError,
+                       match="width 6 not divisible by window 4") as err:
+        maxpool2d(x, 4)
+    assert err.value.axis == "width"
+
+
+def test_grad_check_rejects_a_target_that_is_not_a_scalar():
+    x = Tensor(np.ones((1, 2, 2, 1), np.float32))
+    with pytest.raises(ContractError,
+                       match="grad_check target must produce a scalar"):
+        grad_check(square, x)

@@ -206,3 +206,9 @@ def test_correlation_independent_noise_is_weak():
 def test_lemma1_violation_rate_needs_an_instance(n_instances):
     with pytest.raises(ContractError, match="n_instances >= 1"):
         lemma1_violation_rate(n_instances=n_instances)
+
+
+def test_dice_fd_correlation_needs_ten_records():
+    with pytest.raises(ContractError,
+                       match="need >= 10 records for the correlation"):
+        dice_fd_correlation([0.1 * i for i in range(9)], list(range(9)))

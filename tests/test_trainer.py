@@ -705,3 +705,20 @@ def test_history_csv_reproducible_bytes(tmp_path):
     p2, _ = run_and_write(sub, "seg+fd")
     with open(p1, "rb") as a, open(p2, "rb") as b:
         assert a.read() == b.read()
+
+
+@pytest.mark.parametrize("setting", [{"lr": 0.0}, {"lr": -0.01},
+                                     {"batch_size": 0}],
+                         ids=["lr_zero", "lr_negative", "batch_size"])
+def test_config_rejects_a_non_positive_lr_or_batch_size(setting):
+    with pytest.raises(ContractError,
+                       match="lr must be > 0 and batch_size >= 1"):
+        quick_config(**setting)
+
+
+@pytest.mark.parametrize("split", ["train", "val"])
+def test_train_rejects_an_empty_split(split):
+    datasets = {**tiny_datasets(), split: []}
+    with pytest.raises(ContractError,
+                       match=f"train\\(\\) needs a non-empty {split} split"):
+        train(quick_config(), tiny_model(), datasets)

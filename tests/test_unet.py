@@ -278,3 +278,21 @@ def test_clone_is_independent():
     twin.params["head_w"].values[:] += 1.0
     assert not np.array_equal(twin.params["head_w"].values,
                               model.params["head_w"].values)
+
+
+def test_config_rejects_fewer_than_one_base_channel():
+    with pytest.raises(DimensionError, match="base_channels must be >= 1, got 0"):
+        UNetConfig(base_channels=0)
+
+
+@pytest.mark.parametrize("shape,message,axis", [
+    ((1, 8, 8, 1), r"input 8x8 does not match configured size \(16, 16\)",
+     "spatial"),
+    ((1, 16, 16, 2), "input has 2 channels, config expects 1", "channels"),
+], ids=["size", "channels"])
+def test_forward_rejects_an_input_of_the_wrong_size_or_channels(shape, message,
+                                                               axis):
+    model = init_params(UNetConfig(base_channels=2, image_size=(16, 16)), seed=0)
+    with pytest.raises(DimensionError, match=message) as err:
+        model.forward(Tensor(np.zeros(shape, np.float32)))
+    assert err.value.axis == axis
