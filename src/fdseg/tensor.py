@@ -403,18 +403,35 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         raise DimensionError(
             f"bias must have shape (1,1,1,{cout}), got {bias.shape}", axis="channels")
     ph, pw = kh // 2, kw // 2
+    hp, wp = h + 2 * ph, w + 2 * pw
     if kh == kw == 1:
         cols2d = x.values.reshape(n * h * w, cin)
     else:
-        xp = np.zeros((n, h + 2 * ph, w + 2 * pw, cin), dtype=x.dtype)
-        xp[:, ph:ph + h, pw:pw + w, :] = x.values
-        # patch matrix (n*h*w, kh*kw*cin): one copy of the (n,h,w,cin,kh,kw)
-        # window view, reordered to match the (kh,kw,cin,cout) kernel layout
-        win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-        cols2d = win.transpose(0, 1, 2, 4, 5, 3).reshape(n * h * w, kh * kw * cin)
+        # the padded input, written once: border strips zeroed, interior copied
+        xp = np.empty((n, hp, wp, cin), dtype=x.dtype)
+        xp[:, :ph] = xp[:, hp - ph:] = 0
+        xp[:, :, :pw] = xp[:, :, wp - pw:] = 0
+        xp[:, ph:ph + h, pw:pw + w] = x.values
+        # patch matrix (n*h*w, kh*kw*cin) in the kernel's (kh,kw,cin) row
+        # order: one copy of the (n,h,w,kh,kw,cin) window view, or with one
+        # channel a copy per offset (whole rows, not kw floats at a time)
+        if cin == 1:
+            cols = np.empty((n, h, w, kh, kw), dtype=x.dtype)
+            for i in range(kh):
+                for j in range(kw):
+                    cols[..., i, j] = xp[:, i:i + h, j:j + w, 0]
+        else:
+            s0, s1, s2, s3 = xp.strides
+            cols = np.ndarray((n, h, w, kh, kw, cin), xp.dtype, xp, 0,
+                              (s0, s1, s2, s1, s2, s3))
+        cols2d = cols.reshape(n * h * w, kh * kw * cin)
     kmat = kernel.values.reshape(kh * kw * cin, cout)
-    out = (cols2d @ kmat).reshape(n, h, w, cout)
-    out += bias.values
+    out = cols2d @ kmat
+    # the bias repeated along a whole output row: one add loop of w*cout
+    # floats per row rather than one of cout per pixel
+    rows = out.reshape(n * h, w * cout)
+    rows += bias.values.repeat(w, axis=2).reshape(w * cout)
+    out = out.reshape(n, h, w, cout)
 
     def grad_fn(g):
         g2d = g.reshape(n * h * w, cout)
@@ -430,7 +447,6 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         # one GEMM over cout per kernel offset, added in (i, j) order: as row
         # matrices, g's pixel (y, x) in gp shifted by i*wp + j rows is dxp's
         # (y+i, x+j), and the rows shifted out of gp are padding (zeros)
-        hp, wp = h + 2 * ph, w + 2 * pw
         gp = np.zeros((n, hp, wp, cout), dtype=g.dtype)
         gp[:, :h, :w] = g
         dxp = np.zeros((n, hp, wp, cin), dtype=x.dtype)

@@ -31,7 +31,8 @@ LOSS_MODES = tuple(LOSS_TABLE)
 MOMENTUM = 0.9
 EVAL_THRESHOLD, EVAL_BATCH = 0.5, 16    # evaluate()'s foreground cut, chunk size
 # evaluate()'s pixels per chunk: 32x32 images keep 16-sample chunks, larger
-# ones get fewer samples, so that each conv's patch matrix stays in cache
+# ones get fewer samples, so that a default U-Net's largest patch matrix
+# (dec2_conv1's, 16384 rows of 144 float32) is at most 9.4 MB at any size
 EVAL_PIXELS = EVAL_BATCH * 32 * 32
 
 
@@ -99,8 +100,8 @@ class WorstOffPartition:
 
 
 def _batch_arrays(samples: Sequence[SiteSample]) -> tuple[Tensor, Tensor, list[str]]:
-    imgs = np.stack([s.image for s in samples]).astype(np.float32)
-    masks = np.stack([s.mask for s in samples]).astype(np.float32)
+    imgs = np.stack([s.image for s in samples]).astype(np.float32, copy=False)
+    masks = np.stack([s.mask for s in samples]).astype(np.float32, copy=False)
     return Tensor(imgs), Tensor(masks), [s.source for s in samples]
 
 

@@ -300,6 +300,34 @@ def test_conv2d_bytes_match_im2col_reference_on_a_channel_slice(case):
         assert a.tobytes() == b.tobytes(), name
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("cin", [1, 3])
+@pytest.mark.parametrize("kh,kw", [(3, 3), (1, 3), (3, 1), (3, 5), (5, 5)])
+def test_conv2d_zeroes_every_border_strip_of_its_padded_input(monkeypatch, kh,
+                                                              kw, cin, dtype):
+    """conv2d takes its padded input from np.empty and writes only the border
+    and the interior. With np.empty returning NaN-filled buffers, a border
+    strip left unwritten puts NaN into out and dk."""
+    xv, kv, bv, gv = (a.astype(dtype) for a in
+                      conv_inputs(2, 5, 7, kh, kw, cin, 4, seed=10 * kh + kw + cin))
+    ref = im2col_conv_reference(xv, kv, bv, gv)
+    empty = np.empty
+
+    def nan_empty(*args, **kwargs):
+        a = empty(*args, **kwargs)
+        a.fill(np.nan)
+        return a
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "empty", nan_empty)
+        got = conv_with_grads(xv, kv, bv, gv)
+    for name, a, b in zip(("out", "dx", "dk", "db"), got, ref):
+        if name == "dx" and cin == 1:
+            np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-6)
+        else:
+            assert a.tobytes() == b.tobytes(), name
+
+
 @settings(deadline=None)
 @given(st.integers(1, 16), st.integers(1, 64), st.integers(1, 64),
        st.integers(1, 64), st.sampled_from([np.float32, np.float64]),
