@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor import ContractError
+from .tensor import ContractError, DimensionError
 
 
 class PgmParseError(ValueError):
@@ -21,6 +21,14 @@ class PgmParseError(ValueError):
 # Image size of single runs: the default of SiteConfig and UNetConfig, and of
 # the `gen-data` and `train` commands.
 IMAGE_SIZE = (64, 64)
+
+
+def check_image_size(size) -> None:
+    """Raise a DimensionError unless size is (h, w), two positive integers."""
+    if not (len(size) == 2 and all(isinstance(v, (int, np.integer)) and v > 0
+                                   for v in size)):
+        raise DimensionError(f"image size {tuple(size)} is not two positive "
+                             "integers", axis="spatial")
 
 
 @dataclass(frozen=True)
@@ -43,6 +51,7 @@ class SiteConfig:
                 f"site {self.name}: fg and bg intensities must differ")
         if self.texture_sigma < 0 or self.blur_radius < 0:
             raise ContractError(f"site {self.name}: negative noise/blur")
+        check_image_size(self.image_size)
 
 
 # Default pair: base is clean-ish, novel is intensity-shifted, noisier and

@@ -142,8 +142,6 @@ def fd_exch_loss(summary: MaskedFeatureSummary,
     bg = summary.per_sample_bg
     n = fg.shape[0]
     warning = None
-    rng = np.random.default_rng(seed)
-
     pairing = None
     if source_tags is not None:
         tags = list(source_tags)
@@ -158,15 +156,13 @@ def fd_exch_loss(summary: MaskedFeatureSummary,
         else:
             warning = "fd_exch: single-source batch, falling back to offset pairing"
 
-    if pairing is None:
-        if n == 1:
-            pairing = np.zeros(1, dtype=np.int64)
-        else:
-            perm = rng.permutation(n)
-            k = int(shuffle_offset) if shuffle_offset is not None \
-                else int(rng.integers(1, n))
-            pairing = np.empty(n, dtype=np.int64)
-            pairing[perm] = perm[(np.arange(n) + k) % n]
+    if pairing is None:     # offset k in [1, n); one sample pairs with itself
+        rng = np.random.default_rng(seed)
+        perm = rng.permutation(n)
+        k = int(shuffle_offset) if shuffle_offset is not None \
+            else int(rng.integers(1, max(n, 2)))
+        pairing = np.empty(n, dtype=np.int64)
+        pairing[perm] = perm[(np.arange(n) + k) % n]
 
     bg_j = index_batch(bg, pairing)
     fg_j = index_batch(fg, pairing)

@@ -327,7 +327,7 @@ def relu(a: Tensor) -> Tensor:
 def sigmoid(a: Tensor) -> Tensor:
     v = a.values
     e = np.exp(-np.abs(v))
-    out = np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    out = np.where(v >= 0, 1.0, e) / (1.0 + e)
     return Tensor(out, parents=(a,), op="sigmoid",
                   grad_fn=lambda g: (g * out * (1.0 - out),))
 

@@ -206,11 +206,16 @@ def mediation_mc(a: float, b: float, n_samples: int = 100_000,
 def dice_fd_correlation(dice: Sequence[float],
                         fd: Sequence[float]) -> Optional[float]:
     """Pearson r between per-sample Dice and discrepancy values; None when an
-    input is constant (degenerate)."""
+    input is constant (degenerate). A non-finite value, such as the -inf fd
+    of a runaway last decoder, is an error, not a NaN r."""
     d = np.asarray(dice, dtype=np.float64)
     f = np.asarray(fd, dtype=np.float64)
+    if len(d) != len(f):
+        raise ContractError(f"{len(d)} Dice values but {len(f)} fd values")
     if len(d) < 10:
         raise ContractError("need >= 10 records for the correlation")
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(f))):
+        raise ContractError("the correlation needs finite Dice and fd values")
     if d.std() == 0 or f.std() == 0:
         return None
     dm, fm = d - d.mean(), f - f.mean()

@@ -132,9 +132,8 @@ class _SGD:
 
     def step(self) -> None:
         for k, p in self.params.items():
-            v = MOMENTUM * self.velocity[k] + p.grad
-            self.velocity[k] = v
-            p.values -= (self.lr * v).astype(p.values.dtype)
+            v = self.velocity[k] = MOMENTUM * self.velocity[k] + p.grad
+            p.values -= self.lr * v
             p.grad = None
 
 
@@ -332,12 +331,16 @@ def one_sample_t_test(baseline: float,
     """Two-sided one-sample t-test of runs against a fixed baseline.
 
     Returns (t, p, degenerate_variance). Zero variance gives p=0 when the mean
-    differs from the baseline, else p=1.
+    differs from the baseline, else p=1. A non-finite run or baseline (the
+    NaN score of a failed sweep cell) is an error.
     """
     runs = list(map(float, runs))
     n = len(runs)
     if n < 2:
         raise ContractError("one_sample_t_test needs at least 2 runs")
+    if not all(map(math.isfinite, [baseline, *runs])):
+        raise ContractError(f"one_sample_t_test needs finite values, got "
+                            f"baseline {baseline} and runs {runs}")
     mean = sum(runs) / n
     var = sum((r - mean) ** 2 for r in runs) / (n - 1)
     if var == 0.0 or all(r == runs[0] for r in runs):

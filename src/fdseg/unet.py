@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import IMAGE_SIZE
+from .data import IMAGE_SIZE, check_image_size
 from .tensor import (Tensor, ContractError, DimensionError, concat_channels,
                      conv2d, maxpool2d, relu, sigmoid, upsample_nearest)
 
@@ -27,6 +27,7 @@ class UNetConfig:
             raise DimensionError(f"depth must be >= 1, got {self.depth}", axis="depth")
         if self.base_channels < 1:
             raise DimensionError(f"base_channels must be >= 1, got {self.base_channels}")
+        check_image_size(self.image_size)
         h, w = self.image_size
         f = 2 ** self.depth
         if h % f != 0 or w % f != 0:

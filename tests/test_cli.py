@@ -1,5 +1,6 @@
 """End-to-end tests of the command line driver: exit codes, manifest policy,
 artifact schemas, and byte-level reproducibility of reports."""
+import csv
 import json
 import os
 import re
@@ -572,3 +573,60 @@ def test_chart_of_a_single_condition_centres_it(tmp_path):
     ticks = [t for t in root.iter("{http://www.w3.org/2000/svg}text")
              if t.text == "0.000" and t.get("x") == "280.000"]
     assert len(ticks) == 1
+
+
+@pytest.mark.parametrize("command", ["train", "gen-data", "data-addition",
+                                     "noise-sweep"])
+@pytest.mark.parametrize("size", [0, -4])
+def test_image_size_that_cannot_be_drawn_exits_before_manifest(
+        tmp_path, capsys, command, size):
+    out = str(tmp_path / "run")
+    assert main([command, "--image-size", str(size), "--out", out]) == 2
+    assert f"image size ({size}, {size})" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "manifest.json"))
+
+
+def test_sweep_chart_places_each_point_at_its_condition_and_mean(tmp_path):
+    """A noise sweep whose cells learn (mean Dice spread over 0.3-0.9), so a
+    point drawn at another cell's condition or score shows. Each circle must
+    sit at its condition's x tick and, on the y ticks' scale, at the mean
+    Dice the CSV gives for its mode and condition."""
+    out = str(tmp_path / "noise")
+    assert main(["noise-sweep", "--out", out, "--image-size", "16",
+                 "--n-base", "20", "--phase1-epochs", "4", "--phase2-epochs",
+                 "4", "--batch-size", "4", "--no-augment", "--seeds", "0",
+                 "--loss-modes", "seg_only,seg+fd"]) == 0
+    with open(os.path.join(out, "noise_sweep.csv"), newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    means = {}
+    for row in rows:
+        assert row["status"] == "ok"
+        key = (row["loss_mode"], row["condition"])
+        means.setdefault(key, []).append(float(row["test_dice_base"]))
+    means = {k: sum(v) / len(v) for k, v in means.items()}
+    assert max(means.values()) - min(means.values()) > 0.3
+
+    svg = "{http://www.w3.org/2000/svg}"
+    elements = list(ElementTree.parse(os.path.join(out, "noise_sweep.svg"))
+                    .getroot())
+    x_of = {t.text: float(t.get("x")) for t in elements
+            if t.tag == svg + "text" and t.get("text-anchor") == "middle"
+            and t.get("font-size") == "10"}
+    (v0, y0), *_, (v4, y4) = [(float(t.text), float(t.get("y")))
+                              for t in elements if t.tag == svg + "text"
+                              and t.get("text-anchor") == "end"]
+    mode_of = {line.get("stroke"): text.text
+               for line, text in zip(elements, elements[1:])
+               if text.tag == svg + "text" and text.text in ("seg_only",
+                                                              "seg+fd")}
+    placed = {}
+    for c in elements:
+        if c.tag == svg + "circle":
+            placed.setdefault(mode_of[c.get("fill")], []).append(
+                (float(c.get("cx")), float(c.get("cy"))))
+    assert sum(map(len, placed.values())) == len(means) == 10
+    for (mode, condition), mean in means.items():
+        x = x_of[f"{float(condition):.3f}"]
+        y = y0 + (mean - v0) * (y4 - y0) / (v4 - v0)
+        (cy,) = [cy for cx, cy in placed[mode] if cx == x]
+        assert cy == pytest.approx(y, abs=1.0), (mode, condition)

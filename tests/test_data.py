@@ -1,5 +1,6 @@
 """Tests for synthetic site generation, augmentation, splits, and PGM I/O."""
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from fdseg.data import (BASE_SITE, NOVEL_SITE, PgmParseError, SiteConfig,
                         SiteSample, add_gaussian_noise, augment, generate_site,
                         load_pgm_pair, load_site, save_pgm, save_site,
                         split_dataset)
-from fdseg.tensor import ContractError
+from fdseg.tensor import ContractError, DimensionError
 
 SMALL = SiteConfig(name="base", fg_intensity_mean=0.75, bg_intensity_mean=0.35,
                    texture_sigma=0.05, blur_radius=0, n_shapes=(1, 3),
@@ -288,3 +289,11 @@ def test_pgm_pair_whose_mask_has_one_class_is_rejected(tmp_path, fill):
     with pytest.raises(ContractError,
                        match="sample 7: mask must contain both classes"):
         load_pgm_pair(img_path, mask_path, sample_id=7)
+
+
+@pytest.mark.parametrize("size", [(0, 0), (-4, -4), (16, 0), (16,), (16.0, 16)],
+                         ids=["zero", "negative", "zero_width", "one_value",
+                              "float"])
+def test_site_rejects_an_image_size_that_cannot_be_drawn(size):
+    with pytest.raises(DimensionError, match=re.escape(f"image size {size}")):
+        flat_config(image_size=size)

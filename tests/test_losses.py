@@ -595,3 +595,17 @@ def test_fd_exch_rejects_a_tag_count_other_than_the_batch_size():
                               Tensor(mask))
     with pytest.raises(ContractError, match="3 tags for batch of 2"):
         fd_exch_loss(summary, source_tags=["base", "novel", "base"])
+
+
+@pytest.mark.parametrize("kwargs", [{"shuffle_offset": 1}, {"shuffle_offset": 3},
+                                    {"source_tags": ["base"]},
+                                    {"source_tags": ["novel"]}],
+                         ids=["offset_1", "offset_3", "base_tag", "novel_tag"])
+def test_exch_single_sample_pairs_with_itself(kwargs):
+    s = batch_summary(1, 3, seed=20)
+    diff = s.per_sample_fg.values[0] - s.per_sample_bg.values[0]
+    expected = -math.log(2.0 * (diff ** 2).sum() + 1e-12)
+    loss, warn = fd_exch_loss(s, seed=5, **kwargs)
+    assert loss.item() == pytest.approx(expected, rel=1e-5)
+    assert loss.values.tobytes() == fd_exch_loss(s)[0].values.tobytes()
+    assert (warn is not None) == ("source_tags" in kwargs)

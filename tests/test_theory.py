@@ -212,3 +212,18 @@ def test_dice_fd_correlation_needs_ten_records():
     with pytest.raises(ContractError,
                        match="need >= 10 records for the correlation"):
         dice_fd_correlation([0.1 * i for i in range(9)], list(range(9)))
+
+
+def test_dice_fd_correlation_rejects_unequal_lengths():
+    with pytest.raises(ContractError, match="12 Dice values but 11 fd values"):
+        dice_fd_correlation(np.linspace(0.1, 0.9, 12), np.linspace(0, 1, 11))
+
+
+@pytest.mark.parametrize("side", ["dice", "fd"])
+@pytest.mark.parametrize("bad", [-math.inf, math.inf, math.nan])
+def test_dice_fd_correlation_rejects_a_non_finite_value(side, bad):
+    # a runaway last decoder's fd is -inf; the r of such records is not a number
+    values = {"dice": np.linspace(0.1, 0.9, 12), "fd": np.linspace(5, -5, 12)}
+    values[side][3] = bad
+    with pytest.raises(ContractError, match="needs finite Dice and fd values"):
+        dice_fd_correlation(values["dice"], values["fd"])

@@ -722,3 +722,14 @@ def test_train_rejects_an_empty_split(split):
     with pytest.raises(ContractError,
                        match=f"train\\(\\) needs a non-empty {split} split"):
         train(quick_config(), tiny_model(), datasets)
+
+
+@pytest.mark.parametrize("baseline,runs", [
+    (0.5, [0.9, math.nan, 0.8]),
+    (0.5, [0.9, 0.8, math.inf]),
+    (math.nan, [0.9, 0.8, 0.7]),
+], ids=["nan_run", "inf_run", "nan_baseline"])
+def test_t_test_rejects_a_non_finite_value(baseline, runs):
+    # a failed sweep cell scores NaN; it is not a run of a valid test
+    with pytest.raises(ContractError, match="needs finite values"):
+        one_sample_t_test(baseline, runs)

@@ -296,3 +296,29 @@ def test_forward_rejects_an_input_of_the_wrong_size_or_channels(shape, message,
     with pytest.raises(DimensionError, match=message) as err:
         model.forward(Tensor(np.zeros(shape, np.float32)))
     assert err.value.axis == axis
+
+
+@pytest.mark.parametrize("size", [(0, 0), (-4, -4), (-8, 16)])
+def test_config_rejects_an_image_size_that_is_not_positive(size):
+    # -4 and -8 are divisible by 2^depth, so only the sign rejects them
+    with pytest.raises(DimensionError, match=re.escape(f"image size {size}")):
+        UNetConfig(depth=2, image_size=size)
+
+
+@pytest.mark.parametrize("size", [[-4, -4], [0, 16], [16, 0]])
+def test_checkpoint_rejects_an_image_size_that_is_not_positive(tmp_path, size):
+    model = init_params(UNetConfig(depth=1, base_channels=8,
+                                   image_size=(16, 16)), seed=3)
+    path = os.path.join(tmp_path, "m.ckpt")
+    save_checkpoint(model, path)
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    (n,) = struct.unpack("<I", blob[8:12])
+    config = json.dumps({**json.loads(blob[12:12 + n]),
+                         "image_size": size}).encode()
+    with open(path, "wb") as fh:
+        fh.write(blob[:8] + struct.pack("<I", len(config)) + config
+                 + blob[12 + n:])
+    with pytest.raises(ContractError, match=re.escape(
+            f"{path}: bad checkpoint config: image size {tuple(size)}")):
+        load_checkpoint(path)
