@@ -12,8 +12,10 @@ configuration so a rerun from the manifest reproduces identical CSV bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
+import glob
 import json
 import os
 import sys
@@ -118,12 +120,31 @@ def _resolve(args: argparse.Namespace, settings: dict) -> dict:
     return out
 
 
+# What the commands write in a run directory besides manifest.json; gen-data
+# writes a site directory, `base/` or `novel/`, of PGM files and site.json.
+RUN_OUTPUTS = ("model.ckpt", "last_good.ckpt", "history.csv", "evaluation.csv",
+               "data_addition.csv", "data_addition.svg", "noise_sweep.csv",
+               "noise_sweep.svg", "lemma_reports.json")
+
+
 def _prepare_out_dir(out: str, force: bool) -> None:
+    """With force, first remove every file a command writes in `out`, so none
+    of the replaced run's outputs is left beside the new manifest; any other
+    file stays."""
     manifest = os.path.join(out, "manifest.json")
     if os.path.exists(manifest) and not force:
         raise ContractError(
             f"output dir {out} already holds a run; pass --force to overwrite")
     os.makedirs(out, exist_ok=True)
+    if force:
+        stale = [os.path.join(out, name) for name in RUN_OUTPUTS]
+        for site in CHOICES["site"]:
+            stale.append(os.path.join(out, site, "site.json"))
+            for sub in ("images", "masks"):
+                stale += glob.glob(os.path.join(glob.escape(out), site, sub, "*.pgm"))
+        for path in stale:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
 
 
 def _write_manifest(out: str, command: str, resolved: dict,

@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from dataclasses import dataclass, asdict
 from typing import Sequence
 
@@ -13,8 +14,8 @@ from .tensor import ContractError, DimensionError
 
 
 class PgmParseError(ValueError):
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (byte offset {offset})")
+    def __init__(self, path: str, message: str, offset: int):
+        super().__init__(f"{path}: {message} (byte offset {offset})")
         self.offset = offset
 
 
@@ -51,6 +52,11 @@ class SiteConfig:
                 f"site {self.name}: fg and bg intensities must differ")
         if self.texture_sigma < 0 or self.blur_radius < 0:
             raise ContractError(f"site {self.name}: negative noise/blur")
+        n = self.n_shapes
+        if not (len(n) == 2 and all(isinstance(v, (int, np.integer)) for v in n)
+                and 0 <= n[0] <= n[1] >= 1):
+            raise ContractError(f"site {self.name}: n_shapes {tuple(n)} is not "
+                                "two integers 0 <= lo <= hi with hi >= 1")
         check_image_size(self.image_size)
 
 
@@ -114,14 +120,12 @@ def generate_site(config: SiteConfig, n: int, seed: int) -> list[SiteSample]:
     samples = []
     for i in range(n):
         rng = np.random.default_rng([seed, i])
-        mask = _ellipse_mask(rng, h, w, config.n_shapes)
-        # degenerate all-fg / all-bg masks are redrawn
-        tries = 0
-        while mask.sum() < 1 or mask.sum() > mask.size - 1:
+        for _ in range(101):    # degenerate all-fg / all-bg masks are redrawn
             mask = _ellipse_mask(rng, h, w, config.n_shapes)
-            tries += 1
-            if tries > 100:
-                raise ContractError("could not draw a two-class mask")
+            if 1 <= mask.sum() <= mask.size - 1:
+                break
+        else:
+            raise ContractError(f"site {config.name}: could not draw a two-class mask")
         img = (config.bg_intensity_mean
                + (config.fg_intensity_mean - config.bg_intensity_mean)
                * mask.astype(np.float64))
@@ -192,6 +196,10 @@ def split_dataset(samples: Sequence[SiteSample],
 
 # -- PGM I/O -------------------------------------------------------------------
 
+# A P5 header field: the whitespace and `#` comments before it, then its bytes.
+_PGM_FIELD = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
+
+
 def _write_pgm(path: str, arr_u8: np.ndarray) -> None:
     h, w = arr_u8.shape
     with open(path, "wb") as fh:
@@ -203,30 +211,23 @@ def _read_pgm(path: str) -> np.ndarray:
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:2] != b"P5":
-        raise PgmParseError(f"bad magic {data[:2]!r}, expected P5", offset=1)
-    pos = 2
-    fields = []
-    while len(fields) < 3:
-        while pos < len(data) and data[pos:pos + 1].isspace():
-            pos += 1
-        if data[pos:pos + 1] == b"#":
-            while pos < len(data) and data[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        tok = data[start:pos]
-        if not tok.isdigit():
-            raise PgmParseError(f"expected integer header field, got {tok!r}", start)
-        fields.append(int(tok))
+        raise PgmParseError(path, f"bad magic {data[:2]!r}, expected P5", 1)
+    pos, fields = 2, []
+    for _ in range(3):
+        field = _PGM_FIELD.match(data, pos)
+        if not field[1].isdigit():
+            raise PgmParseError(path, "expected integer header field, got "
+                                f"{field[1]!r}", field.start(1))
+        fields.append(int(field[1]))
+        pos = field.end()
     w, h, maxval = fields
     if maxval != 255:
-        raise PgmParseError(f"maxval must be 255, got {maxval}", pos)
+        raise PgmParseError(path, f"maxval must be 255, got {maxval}", pos)
     pos += 1  # single whitespace byte after maxval
     pixels = data[pos:pos + w * h]
     if len(pixels) != w * h:
-        raise PgmParseError(f"expected {w * h} pixel bytes, got {len(pixels)}", pos)
+        raise PgmParseError(path, f"expected {w * h} pixel bytes, got "
+                            f"{len(pixels)}", pos)
     return np.frombuffer(pixels, dtype=np.uint8).reshape(h, w)
 
 
@@ -247,8 +248,8 @@ def load_pgm_pair(image_path: str, mask_path: str, source: str = "base",
     img = _read_pgm(image_path)
     mask = _read_pgm(mask_path)
     if img.shape != mask.shape:
-        raise PgmParseError(
-            f"image {img.shape} and mask {mask.shape} dimensions differ", 0)
+        raise PgmParseError(image_path, f"image {img.shape} and mask "
+                            f"{mask_path} {mask.shape} dimensions differ", 0)
     sample = SiteSample(image=(img.astype(np.float32) / 255.0)[..., None],
                         mask=(mask >= 128).astype(np.float32)[..., None],
                         source=source, id=sample_id)

@@ -258,7 +258,9 @@ def write_sweep_csv(path: str, result: SweepResult) -> None:
 def read_sweep_csv(path: str) -> SweepResult:
     """Each column parsed with its SweepRow field's type; each header name
     must be the field at its position. Extra columns are ignored, a missing
-    one takes its default (a five-column file is "ok")."""
+    one takes its default (a five-column file is "ok"). A row with fewer
+    fields than the header, such as one a killed run cut short, or an "ok"
+    row whose scores are not finite, is an error."""
     types = get_type_hints(SweepRow).items()
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -268,8 +270,15 @@ def read_sweep_csv(path: str) -> SweepResult:
             raise ValueError(f"{path}: malformed sweep CSV header at line 1")
         for lineno, row in enumerate(reader, start=2):
             try:
-                rows.append(SweepRow(**{name: kind(value) for (name, kind), value
-                                        in zip(types, row)}))
+                if len(row) < len(header):
+                    raise ValueError(f"{len(row)} fields under a "
+                                     f"{len(header)}-column header")
+                r = SweepRow(**{name: kind(value) for (name, kind), value
+                                in zip(types, row)})
+                if r.status == "ok" and not (math.isfinite(r.test_dice_base)
+                                             and math.isfinite(r.test_iou_base)):
+                    raise ValueError("an ok row needs finite scores")
+                rows.append(r)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}: malformed sweep CSV at line {lineno}: "
                                  f"{exc}") from None

@@ -180,20 +180,25 @@ def _read(fh, n: int, path: str, what: str) -> bytes:
 
 
 def _read_json(fh, path: str, what: str) -> dict:
+    """The JSON object of a header; any other JSON value is an error."""
     (n,) = struct.unpack("<I", _read(fh, 4, path, what))
     try:
-        return json.loads(_read(fh, n, path, what).decode("utf-8"))
+        value = json.loads(_read(fh, n, path, what).decode("utf-8"))
     except ValueError as exc:  # bad UTF-8 or JSON
         raise ContractError(f"{path}: corrupt checkpoint {what}: {exc}") from None
+    if not isinstance(value, dict):
+        raise ContractError(f"{path}: checkpoint {what} is not a JSON object: "
+                            f"{value!r}")
+    return value
 
 
-def _config_from_header(cfg, path: str) -> UNetConfig:
+def _config_from_header(cfg: dict, path: str) -> UNetConfig:
     """The UNetConfig of a config header, which must hold exactly the integers
     save_checkpoint writes: depth, base_channels, in_channels and the two of
     image_size."""
     ints = ("depth", "base_channels", "in_channels")
-    size = cfg.get("image_size") if isinstance(cfg, dict) else None
-    well_formed = (isinstance(cfg, dict) and set(cfg) == {*ints, "image_size"}
+    size = cfg.get("image_size")
+    well_formed = (set(cfg) == {*ints, "image_size"}
                    and all(type(cfg[k]) is int for k in ints)
                    and isinstance(size, list) and len(size) == 2
                    and all(type(v) is int for v in size))
@@ -212,7 +217,7 @@ def load_checkpoint(path: str) -> UNet:
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != CHECKPOINT_MAGIC:
-            raise ContractError(f"bad checkpoint magic {magic!r}")
+            raise ContractError(f"{path}: bad checkpoint magic {magic!r}")
         config = _config_from_header(_read_json(fh, path, "config"), path)
         params: dict[str, Tensor] = {}
         for layer, kh, kw, cin, cout in _conv_layers(config):

@@ -12,7 +12,7 @@ import fdseg.cli
 import fdseg.sweeps
 from fdseg.cli import (GEN_DATA_SETTINGS, SWEEP_SETTINGS, TRAIN_SETTINGS,
                        main)
-from fdseg.data import BASE_SITE, NOVEL_SITE
+from fdseg.data import BASE_SITE, NOVEL_SITE, load_site
 from fdseg.sweeps import (SweepResult, SweepRow, SweepSettings, read_sweep_csv,
                           write_sweep_csv)
 from fdseg.trainer import (TrainConfig, TrainingAborted, blas_threads,
@@ -630,3 +630,93 @@ def test_sweep_chart_places_each_point_at_its_condition_and_mean(tmp_path):
         y = y0 + (mean - v0) * (y4 - y0) / (v4 - v0)
         (cy,) = [cy for cx, cy in placed[mode] if cx == x]
         assert cy == pytest.approx(y, abs=1.0), (mode, condition)
+
+
+def test_forced_rerun_that_aborts_leaves_no_output_of_the_replaced_run(
+        tmp_path):
+    out = str(tmp_path / "run")
+    args = ["train", "--out", out, "--loss", "seg_only"] + FAST_TRAIN
+    assert main(args) == 0
+    assert main(args + ["--force", "--lr", "1e12"]) == 3
+    assert sorted(os.listdir(out)) == ["last_good.ckpt", "manifest.json"]
+    with open(os.path.join(out, "manifest.json")) as fh:
+        assert json.load(fh)["config"]["lr"] == 1e12
+
+
+def test_forced_sweep_rerun_whose_every_cell_aborts_leaves_no_chart(
+        tmp_path, monkeypatch):
+    monkeypatch.setenv("FDSEG_WORKERS", "1")
+    out = str(tmp_path / "noise")
+    args = ["noise-sweep", "--out", out] + FAST_ARGS["noise-sweep"]
+    assert main(args) == 0
+    assert os.path.exists(os.path.join(out, "noise_sweep.svg"))
+    assert main(args + ["--force", "--lr", "1e12"]) == 3
+    assert sorted(os.listdir(out)) == ["manifest.json", "noise_sweep.csv"]
+
+
+def test_forced_gen_data_with_fewer_samples_leaves_only_the_new_site(tmp_path):
+    out = str(tmp_path / "data")
+    args = ["gen-data", "--out", out, "--image-size", "16"]
+    assert main(args + ["--n-samples", "6"]) == 0
+    assert main(args + ["--n-samples", "2", "--force"]) == 0
+    for sub in ("images", "masks"):
+        assert sorted(os.listdir(os.path.join(out, "base", sub))) == \
+            ["0.pgm", "1.pgm"]
+    assert [s.id for s in load_site(os.path.join(out, "base"))] == [0, 1]
+
+
+def test_force_removes_only_what_the_commands_write(tmp_path):
+    out = str(tmp_path / "run")
+    assert main(["gen-data", "--out", out, "--site", "novel",
+                 "--n-samples", "3", "--image-size", "16"]) == 0
+    kept = [os.path.join(out, "notes.txt"),
+            os.path.join(out, "novel", "images", "notes.txt"),
+            os.path.join(out, "other", "images", "0.pgm")]
+    for path in kept:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        open(path, "w").close()
+    assert main(["lemma-checks", "--out", out, "--force"]) == 0
+    assert sorted(os.listdir(out)) == ["lemma_reports.json", "manifest.json",
+                                       "notes.txt", "novel", "other"]
+    assert os.listdir(os.path.join(out, "novel", "images")) == ["notes.txt"]
+    assert os.listdir(os.path.join(out, "novel", "masks")) == []
+    assert all(os.path.exists(path) for path in kept)
+
+
+def test_forced_rerun_with_a_bad_setting_leaves_the_old_run_whole(tmp_path):
+    out = str(tmp_path / "run")
+    args = ["train", "--out", out, "--loss", "seg_only"] + FAST_TRAIN
+    assert main(args) == 0
+    before = {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()}
+    assert main(args + ["--force", "--image-size", "15"]) == 2
+    assert {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()} == before
+
+
+SIX_COLUMNS = "condition,seed,loss_mode,test_dice_base,test_iou_base,status\n"
+
+
+@pytest.mark.parametrize("row", [
+    "1.0,0,seg_only,nan,nan", "1.0,0,seg_only,0.9,0.8",
+    "1.0,0,seg_only,nan,0.8,ok", "1.0,0,seg_only,0.9,inf,ok",
+], ids=["short_nan", "short", "ok_nan_dice", "ok_inf_iou"])
+def test_sweep_csv_short_or_non_finite_ok_row_is_malformed(tmp_path, row):
+    with pytest.raises(ValueError, match="malformed sweep CSV at line 3"):
+        _read_sweep_text(tmp_path, SIX_COLUMNS + "0.0,0,seg_only,0.9,0.8,ok\n"
+                         + row + "\n")
+
+
+def test_report_of_a_short_row_exits_config_error(tmp_path, capsys):
+    path = tmp_path / "noise_sweep.csv"
+    path.write_text(SIX_COLUMNS + "0.0,0,seg_only,0.9,0.8,ok\n"
+                    "1.0,0,seg_only,nan,nan\n")
+    assert main(["report", str(path)]) == 2
+    assert "malformed sweep CSV at line 3" in capsys.readouterr().err
+    assert not (tmp_path / "noise_sweep.svg").exists()
+
+
+def test_sweep_csv_extra_columns_are_ignored(tmp_path):
+    result = _read_sweep_text(tmp_path, SIX_COLUMNS.replace("\n", ",note\n")
+                              + "0.5,2,seg+fd,0.9,0.8,ok,x\n"
+                              "0.5,3,seg+fd,nan,nan,aborted: nan,y\n")
+    assert result.rows[0] == SweepRow(0.5, 2, "seg+fd", 0.9, 0.8, "ok")
+    assert result.rows[1].status == "aborted: nan"

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+import fdseg.data
 from fdseg.data import (BASE_SITE, NOVEL_SITE, PgmParseError, SiteConfig,
                         SiteSample, add_gaussian_noise, augment, generate_site,
                         load_pgm_pair, load_site, save_pgm, save_site,
@@ -297,3 +298,76 @@ def test_pgm_pair_whose_mask_has_one_class_is_rejected(tmp_path, fill):
 def test_site_rejects_an_image_size_that_cannot_be_drawn(size):
     with pytest.raises(DimensionError, match=re.escape(f"image size {size}")):
         flat_config(image_size=size)
+
+
+@pytest.mark.parametrize("header", [
+    b"P5 2 1 255\n", b"P5\t2\r\n1\x0b255\x0c", b"P5# no space before\n2 1\n255\n",
+    b"P5\n#a\n#b\n2 # w\n1\n# h\n255\n", b"P5\n02 001\n255\n",
+], ids=["spaces", "other_whitespace", "comment_after_magic", "comments",
+        "leading_zeros"])
+def test_pgm_header_fields_between_whitespace_and_comments(tmp_path, header):
+    path = tmp_path / "h.pgm"
+    path.write_bytes(header + bytes([0, 255]))
+    s = load_pgm_pair(str(path), str(path))
+    np.testing.assert_array_equal(s.mask[:, :, 0], [[0, 1]])
+
+
+@pytest.mark.parametrize("data,message,offset", [
+    (b"P2\n2 1\n255\n\x00\xff", "bad magic b'P2', expected P5", 1),
+    (b"P5\n2 1\n255#\n\x00\xff", "expected integer header field, got b'255#'",
+     7),
+    (b"P5\n2 1\n# to the end", "expected integer header field, got b''", 19),
+    (b"P5\n2 1\n128\n\x00\xff", "maxval must be 255, got 128", 10),
+    (b"P5\n2 1\n255\n\x00", "expected 2 pixel bytes, got 1", 11),
+], ids=["magic", "hash_inside_field", "comment_to_end", "maxval", "pixels"])
+def test_pgm_error_names_the_file_and_keeps_its_offset(tmp_path, data, message,
+                                                       offset):
+    path = tmp_path / "e.pgm"
+    path.write_bytes(data)
+    with pytest.raises(PgmParseError, match=re.escape(
+            f"{path}: {message} (byte offset {offset})")) as exc:
+        load_pgm_pair(str(path), str(path))
+    assert exc.value.offset == offset
+
+
+def test_pgm_sizes_that_differ_name_both_files(tmp_path):
+    img, mask = tmp_path / "i.pgm", tmp_path / "m.pgm"
+    img.write_bytes(b"P5\n2 2\n255\n" + bytes(4))
+    mask.write_bytes(b"P5\n2 1\n255\n" + bytes(2))
+    with pytest.raises(PgmParseError, match=re.escape(
+            f"{img}: image (2, 2) and mask {mask} (1, 2) dimensions differ")):
+        load_pgm_pair(str(img), str(mask))
+
+
+@pytest.mark.parametrize("n_shapes", [(3, 1), (0, 0), (-1, 2), (1,), (1, 2, 3),
+                                      (1.0, 2)],
+                         ids=["reversed", "none", "negative", "one_value",
+                              "three_values", "float"])
+def test_site_rejects_shape_counts_that_cannot_be_drawn(n_shapes):
+    with pytest.raises(ContractError, match=re.escape(
+            f"site base: n_shapes {n_shapes} is not two integers")):
+        flat_config(n_shapes=n_shapes)
+
+
+def test_site_with_possibly_empty_draws_redraws_to_two_classes(monkeypatch):
+    draws = []
+    ellipse_mask = fdseg.data._ellipse_mask
+    monkeypatch.setattr(fdseg.data, "_ellipse_mask",
+                        lambda *a: draws.append(1) or ellipse_mask(*a))
+    samples = generate_site(flat_config(n_shapes=(0, 2)), 12, seed=1234)
+    assert len(draws) > len(samples) == 12
+    for s in samples:
+        assert 1 <= s.mask.sum() <= s.mask.size - 1
+
+
+def test_site_gives_up_after_101_one_class_draws(monkeypatch):
+    draws = []
+
+    def empty(rng, h, w, n_range):
+        draws.append(1)
+        return np.zeros((h, w), dtype=bool)
+    monkeypatch.setattr(fdseg.data, "_ellipse_mask", empty)
+    with pytest.raises(ContractError,
+                       match="site base: could not draw a two-class mask"):
+        generate_site(flat_config(), 3, seed=0)
+    assert len(draws) == 101

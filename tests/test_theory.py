@@ -9,7 +9,8 @@ import pytest
 from fdseg.tensor import ContractError
 from fdseg.theory import (dice_fd_correlation, lemma1_check,
                           lemma1_violation_rate, lemma2_gradient, mediation_mc,
-                          spectral_norm, weight_norm_experiment)
+                          SPECTRAL_CEILING, spectral_norm,
+                          weight_norm_experiment)
 
 
 # -- normalized discrepancy bound -----------------------------------------------
@@ -227,3 +228,12 @@ def test_dice_fd_correlation_rejects_a_non_finite_value(side, bad):
     values[side][3] = bad
     with pytest.raises(ContractError, match="needs finite Dice and fd values"):
         dice_fd_correlation(values["dice"], values["fd"])
+
+
+def test_weight_norm_divergence_stops_each_seed_at_the_ceiling():
+    # at lr 1 the linear arm grows by 1 + 2 dx^2 per step and passes the
+    # ceiling within the 500 steps; run to the end, its norms pass 1e100
+    res = weight_norm_experiment(lr=1.0)
+    assert res.diverged == [True] * 5
+    for norm in res.norm_linear:
+        assert SPECTRAL_CEILING < norm < 100 * SPECTRAL_CEILING

@@ -322,3 +322,48 @@ def test_checkpoint_rejects_an_image_size_that_is_not_positive(tmp_path, size):
     with pytest.raises(ContractError, match=re.escape(
             f"{path}: bad checkpoint config: image size {tuple(size)}")):
         load_checkpoint(path)
+
+
+def test_checkpoint_bad_magic_names_the_file(tmp_path):
+    path = os.path.join(tmp_path, "bad.ckpt")
+    with open(path, "wb") as fh:
+        fh.write(b"NOTACKPT" + b"\x00" * 16)
+    with pytest.raises(ContractError, match=re.escape(
+            f"{path}: bad checkpoint magic b'NOTACKPT'")):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("header", [[1, 2], "enc1_conv1_w", 3, None],
+                         ids=["list", "string", "number", "null"])
+def test_checkpoint_tensor_header_that_is_not_an_object(tmp_path, header):
+    model = init_params(UNetConfig(depth=1, base_channels=8,
+                                   image_size=(16, 16)), seed=3)
+    path = os.path.join(tmp_path, "m.ckpt")
+    save_checkpoint(model, path)
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    (n,) = struct.unpack("<I", blob[8:12])
+    at = 12 + n                          # the first tensor's header
+    (m,) = struct.unpack("<I", blob[at:at + 4])
+    bad = json.dumps(header).encode()
+    with open(path, "wb") as fh:
+        fh.write(blob[:at] + struct.pack("<I", len(bad)) + bad
+                 + blob[at + 4 + m:])
+    with pytest.raises(ContractError, match=re.escape(
+            f"{path}: checkpoint header of enc1_conv1_w is not a JSON object: "
+            f"{header!r}")):
+        load_checkpoint(path)
+
+
+def test_checkpoint_config_header_that_is_not_an_object(tmp_path):
+    path = os.path.join(tmp_path, "m.ckpt")
+    save_checkpoint(init_params(UNetConfig(depth=1, base_channels=8,
+                                           image_size=(16, 16)), seed=3), path)
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    (n,) = struct.unpack("<I", blob[8:12])
+    with open(path, "wb") as fh:
+        fh.write(blob[:8] + struct.pack("<I", 6) + b"[1, 2]" + blob[12 + n:])
+    with pytest.raises(ContractError, match=re.escape(
+            f"{path}: checkpoint config is not a JSON object: [1, 2]")):
+        load_checkpoint(path)
