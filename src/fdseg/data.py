@@ -198,6 +198,8 @@ def split_dataset(samples: Sequence[SiteSample],
 
 # A P5 header field: the whitespace and `#` comments before it, then its bytes.
 _PGM_FIELD = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
+# The name save_pgm gives a sample's image and mask: its id, then ".pgm".
+_SAMPLE_FILE = re.compile(r"(0|-?[1-9][0-9]*)\.pgm")
 
 
 def _write_pgm(path: str, arr_u8: np.ndarray) -> None:
@@ -224,7 +226,7 @@ def _read_pgm(path: str) -> np.ndarray:
     if maxval != 255:
         raise PgmParseError(path, f"maxval must be 255, got {maxval}", pos)
     pos += 1  # single whitespace byte after maxval
-    pixels = data[pos:pos + w * h]
+    pixels = data[pos:]
     if len(pixels) != w * h:
         raise PgmParseError(path, f"expected {w * h} pixel bytes, got "
                             f"{len(pixels)}", pos)
@@ -268,9 +270,16 @@ def save_site(samples: Sequence[SiteSample], config: SiteConfig, root: str) -> s
 
 
 def load_site(site_dir: str, source: str = "base") -> list[SiteSample]:
-    img_dir = os.path.join(site_dir, "images")
-    ids = sorted(int(os.path.splitext(f)[0]) for f in os.listdir(img_dir)
-                 if f.endswith(".pgm"))
+    """The samples of `<site_dir>/images/*.pgm` in id order. Each such file
+    must be named `<sample id>.pgm`, as save_pgm names it."""
+    ids = []
+    for name in os.listdir(os.path.join(site_dir, "images")):
+        if name.endswith(".pgm"):
+            match = _SAMPLE_FILE.fullmatch(name)
+            if match is None:
+                raise ContractError(f"{site_dir}: images/{name} is not named "
+                                    "<sample id>.pgm")
+            ids.append(int(match[1]))
     return [load_pgm_pair(os.path.join(site_dir, "images", f"{i}.pgm"),
                           os.path.join(site_dir, "masks", f"{i}.pgm"),
-                          source=source, sample_id=i) for i in ids]
+                          source=source, sample_id=i) for i in sorted(ids)]

@@ -3,6 +3,8 @@ protocol, run as independent seeded cells in a worker pool."""
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
 import math
 import os
 import traceback
@@ -181,6 +183,16 @@ def pool_runtime(n_cells: int) -> dict:
     return {"pool_width": width, "worker_blas_threads": 1 if pinned else None}
 
 
+@functools.cache
+def _malloc_trim():
+    """The C library's `malloc_trim(pad)`, or None where it has none (it is
+    glibc's). Looked up once per process."""
+    fn = getattr(ctypes.CDLL(None), "malloc_trim", None)
+    if fn is not None:
+        fn.argtypes, fn.restype = [ctypes.c_size_t], ctypes.c_int
+    return fn
+
+
 def _run_cells(fn, cells: list[tuple]) -> list[SweepRow]:
     """fn of each cell, in cell order. A pool of width W > 1 is the calling
     process and W - 1 forked workers; each takes the next cell from one queue
@@ -204,6 +216,11 @@ def _run_cells(fn, cells: list[tuple]) -> list[SweepRow]:
             queue.clear()
             raise
 
+    # the caller hands back the heap it has freed but kept before it forks,
+    # or it and each worker would copy-on-write every such page they reuse
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
     # each process runs one OpenBLAS thread, or W would run W x cores; the
     # workers inherit it and never set it (see one_blas_thread for why)
     with one_blas_thread(), ProcessPoolExecutor(max_workers=width - 1) as pool:

@@ -339,6 +339,25 @@ def test_pgm_sizes_that_differ_name_both_files(tmp_path):
         load_pgm_pair(str(img), str(mask))
 
 
+def test_pgm_with_bytes_after_its_pixels_is_rejected(tmp_path):
+    path = tmp_path / "long.pgm"
+    path.write_bytes(b"P5\n2 1\n255\n" + bytes([0, 255]) + bytes(28))
+    with pytest.raises(PgmParseError, match=re.escape(
+            f"{path}: expected 2 pixel bytes, got 30 (byte offset 11)")):
+        load_pgm_pair(str(path), str(path))
+
+
+@pytest.mark.parametrize("name", ["copy of 1.pgm", "01.pgm", "1.pgm.pgm"])
+def test_site_with_a_stray_image_file_names_it(tmp_path, name):
+    site_dir = save_site(generate_site(flat_config(), 3, seed=0), flat_config(),
+                         str(tmp_path))
+    images = tmp_path / "base" / "images"
+    (images / name).write_bytes((images / "1.pgm").read_bytes())
+    with pytest.raises(ContractError, match=re.escape(
+            f"{site_dir}: images/{name} is not named <sample id>.pgm")):
+        load_site(site_dir)
+
+
 @pytest.mark.parametrize("n_shapes", [(3, 1), (0, 0), (-1, 2), (1,), (1, 2, 3),
                                       (1.0, 2)],
                          ids=["reversed", "none", "negative", "one_value",

@@ -253,6 +253,72 @@ def test_pooled_and_serial_noise_sweeps_write_identical_rows(monkeypatch,
     assert blobs[0].count(b",ok\r\n") == 2
 
 
+@pytest.mark.parametrize("workers,events", [
+    ("1", []), ("2", [("trim", 0, []), "pool"])])
+def test_pooled_call_trims_the_heap_once_before_it_forks(monkeypatch, workers,
+                                                         events):
+    monkeypatch.setenv("FDSEG_WORKERS", workers)
+    seen = []
+    real_pool = fdseg.sweeps.ProcessPoolExecutor
+
+    def pool(*args, **kwargs):
+        seen.append("pool")
+        return real_pool(*args, **kwargs)
+
+    def trim(pad: int) -> int:
+        seen.append(("trim", pad, multiprocessing.active_children()))
+        return 1
+
+    monkeypatch.setattr(fdseg.sweeps, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(fdseg.sweeps, "_malloc_trim", lambda: trim)
+    assert _run_cells(_sleep_then_echo, [(0, 0.0), (1, 0.0)]) == [0, 1]
+    assert seen == events
+
+
+def test_pooled_sweep_without_malloc_trim_writes_the_serial_rows(monkeypatch,
+                                                                 tmp_path):
+    monkeypatch.setattr(fdseg.sweeps, "_malloc_trim", lambda: None)
+    blobs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("FDSEG_WORKERS", workers)
+        result = data_addition_sweep(TINY, fractions=(1.0,),
+                                     loss_modes=("seg+fd+exch",), seeds=(0, 1))
+        path = os.path.join(tmp_path, f"workers{workers}.csv")
+        write_sweep_csv(path, result)
+        with open(path, "rb") as fh:
+            blobs.append(fh.read())
+    assert blobs[0] == blobs[1]
+    assert blobs[0].count(b",ok\r\n") == 2
+
+
+def test_malloc_trim_is_looked_up_once_per_process(monkeypatch):
+    monkeypatch.setenv("FDSEG_WORKERS", "2")
+    opened = []
+    real_cdll = ctypes.CDLL
+
+    def counting(name, *args, **kwargs):
+        opened.append(name)
+        return real_cdll(name, *args, **kwargs)
+
+    monkeypatch.setattr(ctypes, "CDLL", counting)
+    fdseg.sweeps._malloc_trim.cache_clear()
+    try:
+        for _ in range(2):
+            assert _run_cells(_sleep_then_echo, [(0, 0.0), (1, 0.0)]) == [0, 1]
+        assert opened.count(None) == 1
+    finally:
+        fdseg.sweeps._malloc_trim.cache_clear()
+
+
+def test_c_library_without_malloc_trim_gives_no_trim(monkeypatch):
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+    fdseg.sweeps._malloc_trim.cache_clear()
+    try:
+        assert fdseg.sweeps._malloc_trim() is None
+    finally:
+        fdseg.sweeps._malloc_trim.cache_clear()
+
+
 def _os_threads(args) -> tuple[int, int]:
     time.sleep(0.05)
     with open("/proc/self/status", encoding="ascii") as fh:
