@@ -24,8 +24,8 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .data import (BASE_SITE, DATA_SEED, IMAGE_SIZE, NOVEL_SITE, SiteConfig,
-                   generate_site, save_site, split_dataset)
+from .data import (BASE_SITE, DATA_SEED, IMAGE_SIZE, NOVEL_SITE, SITES,
+                   SiteConfig, generate_site, save_site, split_dataset)
 from .sweeps import (DATA_ADDITION_FRACTIONS, NOISE_SWEEP_GRID,
                      NOISE_SWEEP_MODES, SWEEP_SEEDS, SweepSettings,
                      check_settings, data_addition_sweep, noise_sweep,
@@ -52,26 +52,25 @@ _TRAIN_FIELDS = ("seed", "phase1_epochs", "phase2_epochs", "batch_size", "lr",
 _SWEEP_FIELDS = ("n_base", "n_novel", "phase1_epochs", "phase2_epochs",
                  "batch_size", "lr", "cap_novel_at_base")
 
-TRAIN_SETTINGS = {"site": "base", "loss": _TC.loss_mode, "n_samples": 40,
-                  "image_size": IMAGE_SIZE[0], "depth": _UC.depth,
-                  "base_channels": _UC.base_channels,
+TRAIN_SETTINGS = {"site": BASE_SITE.name, "loss": _TC.loss_mode,
+                  "n_samples": 40, "image_size": IMAGE_SIZE[0],
+                  "depth": _UC.depth, "base_channels": _UC.base_channels,
                   "no_augment": not _TC.augment_train,
                   **{k: getattr(_TC, k) for k in _TRAIN_FIELDS}}
-GEN_DATA_SETTINGS = {"site": "base", "n_samples": 40, "seed": DATA_SEED,
-                     "image_size": IMAGE_SIZE[0]}
+GEN_DATA_SETTINGS = {"site": BASE_SITE.name, "n_samples": 40,
+                     "seed": DATA_SEED, "image_size": IMAGE_SIZE[0]}
 SWEEP_SETTINGS = {"seeds": ",".join(map(str, SWEEP_SEEDS)),
                   "image_size": _SS.base_site.image_size[0],
                   "no_augment": not _SS.augment_train,
                   **{k: getattr(_SS, k) for k in _SWEEP_FIELDS}}
 LEMMA_SETTINGS = {"seed": 0, "lemma1_samples": 100, "mediation_a": 1.0,
                   "mediation_b": 1.0, "mediation_n": 100_000}
-CHOICES = {"site": ("base", "novel"), "loss": LOSS_MODES}
+CHOICES = {"site": tuple(SITES), "loss": LOSS_MODES}
 _JSON_TYPES = {bool: "boolean", int: "integer", float: "number", str: "string"}
 
 
-def _site(name: str, image_size: tuple[int, int]) -> SiteConfig:
-    proto = BASE_SITE if name == "base" else NOVEL_SITE
-    return dataclasses.replace(proto, image_size=image_size)
+def _site(name: str, cfg: dict) -> SiteConfig:
+    return dataclasses.replace(SITES[name], image_size=(cfg["image_size"],) * 2)
 
 
 def _typed(path: str, key: str, value, default):
@@ -121,7 +120,7 @@ def _resolve(args: argparse.Namespace, settings: dict) -> dict:
 
 
 # What the commands write in a run directory besides manifest.json; gen-data
-# writes a site directory, `base/` or `novel/`, of PGM files and site.json.
+# writes a site directory, named as its SITES key, of PGM files and site.json.
 RUN_OUTPUTS = ("model.ckpt", "last_good.ckpt", "history.csv", "evaluation.csv",
                "data_addition.csv", "data_addition.svg", "noise_sweep.csv",
                "noise_sweep.svg", "lemma_reports.json")
@@ -138,7 +137,7 @@ def _prepare_out_dir(out: str, force: bool) -> None:
     os.makedirs(out, exist_ok=True)
     if force:
         stale = [os.path.join(out, name) for name in RUN_OUTPUTS]
-        for site in CHOICES["site"]:
+        for site in SITES:
             stale.append(os.path.join(out, site, "site.json"))
             for sub in ("images", "masks"):
                 stale += glob.glob(os.path.join(glob.escape(out), site, sub, "*.pgm"))
@@ -163,12 +162,11 @@ Checked = tuple[Job, dict | None]   # the job, and its manifest runtime record
 
 
 def cmd_train(cfg: dict) -> Checked:
-    size = (cfg["image_size"], cfg["image_size"])
-    site = _site(cfg["site"], size)
+    site = _site(cfg["site"], cfg)
     tc = TrainConfig(loss_mode=cfg["loss"], augment_train=not cfg["no_augment"],
                      **{k: cfg[k] for k in _TRAIN_FIELDS})
     uc = UNetConfig(depth=cfg["depth"], base_channels=cfg["base_channels"],
-                    image_size=size)
+                    image_size=site.image_size)
     split_dataset(range(cfg["n_samples"]))  # partition sizes only; no site drawn
 
     def job(out: str) -> int:
@@ -176,8 +174,7 @@ def cmd_train(cfg: dict) -> Checked:
         train_s, test_s, val_s = split_dataset(samples, seed=DATA_SEED)
         model = init_params(uc, seed=cfg["seed"])
         try:
-            best, history = train(tc, model,
-                                  {"train": train_s, "val": val_s, "test": test_s})
+            best, history = train(tc, model, {"train": train_s, "val": val_s})
         except TrainingAborted as exc:
             save_checkpoint(exc.last_good, os.path.join(out, "last_good.ckpt"))
             print(f"training aborted: {exc}", file=sys.stderr)
@@ -194,8 +191,7 @@ def cmd_train(cfg: dict) -> Checked:
 
 
 def cmd_gen_data(cfg: dict) -> Checked:
-    size = (cfg["image_size"], cfg["image_size"])
-    site = _site(cfg["site"], size)
+    site = _site(cfg["site"], cfg)
     samples = generate_site(site, cfg["n_samples"], cfg["seed"])
 
     def job(out: str) -> int:
@@ -218,9 +214,8 @@ SWEEPS = {
 
 def cmd_sweep(name: str, cfg: dict) -> Checked:
     sweep, grid, *_ = SWEEPS[name]
-    size = (cfg["image_size"], cfg["image_size"])
-    settings = SweepSettings(base_site=_site("base", size),
-                             novel_site=_site("novel", size),
+    settings = SweepSettings(base_site=_site(BASE_SITE.name, cfg),
+                             novel_site=_site(NOVEL_SITE.name, cfg),
                              augment_train=not cfg["no_augment"],
                              **{k: cfg[k] for k in _SWEEP_FIELDS})
     loss_modes = cfg["loss_modes"].split(",")

@@ -66,6 +66,8 @@ BASE_SITE = SiteConfig("base", fg_intensity_mean=0.75, bg_intensity_mean=0.35,
                        texture_sigma=0.05)
 NOVEL_SITE = SiteConfig("novel", fg_intensity_mean=0.55, bg_intensity_mean=0.30,
                         texture_sigma=0.12, blur_radius=1)
+# The kit's sources by name; a sample's source tag is one of these names.
+SITES = {site.name: site for site in (BASE_SITE, NOVEL_SITE)}
 
 # Seed of the generated sites that single runs and sweeps train and test on.
 DATA_SEED = 1234
@@ -75,7 +77,7 @@ DATA_SEED = 1234
 class SiteSample:
     image: np.ndarray   # (h,w,1) float32 in [0,1]
     mask: np.ndarray    # (h,w,1) float32 binary
-    source: str         # "base" | "novel"
+    source: str         # a key of SITES
     id: int
 
     def validate(self) -> "SiteSample":
@@ -137,7 +139,7 @@ def generate_site(config: SiteConfig, n: int, seed: int) -> list[SiteSample]:
         samples.append(SiteSample(
             image=img.astype(np.float32)[..., None],
             mask=mask.astype(np.float32)[..., None],
-            source=config.name if config.name in ("base", "novel") else "base",
+            source=config.name if config.name in SITES else BASE_SITE.name,
             id=i).validate())
     return samples
 
@@ -245,7 +247,7 @@ def save_pgm(sample: SiteSample, out_dir: str) -> tuple[str, str]:
     return img_path, mask_path
 
 
-def load_pgm_pair(image_path: str, mask_path: str, source: str = "base",
+def load_pgm_pair(image_path: str, mask_path: str, source: str = BASE_SITE.name,
                   sample_id: int = 0) -> SiteSample:
     img = _read_pgm(image_path)
     mask = _read_pgm(mask_path)
@@ -269,7 +271,7 @@ def save_site(samples: Sequence[SiteSample], config: SiteConfig, root: str) -> s
     return site_dir
 
 
-def load_site(site_dir: str, source: str = "base") -> list[SiteSample]:
+def load_site(site_dir: str, source: str = BASE_SITE.name) -> list[SiteSample]:
     """The samples of `<site_dir>/images/*.pgm` in id order. Each such file
     must be named `<sample id>.pgm`, as save_pgm names it."""
     ids = []

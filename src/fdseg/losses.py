@@ -7,8 +7,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .data import BASE_SITE
 from .tensor import (Tensor, ContractError, DimensionError, clamp, index_batch,
-                     log, maxpool2d, no_grad, square, tsum)
+                     log, maxpool2d, no_grad, square, tmean, tsum)
 from .unet import FeatureTap
 
 DICE_EPS = 1e-6
@@ -38,9 +39,8 @@ def bce_loss(pred: Tensor, target: Tensor) -> Tensor:
         raise ContractError(f"shape mismatch: {pred.shape} vs {target.shape}")
     _check_binary(target)
     p = clamp(pred, BCE_CLAMP, 1.0 - BCE_CLAMP)
-    n = float(np.prod(pred.shape))
     ll = target * log(p) + (1.0 - target) * log(1.0 - p)
-    return -tsum(ll) * (1.0 / n)
+    return -tmean(ll)
 
 
 def seg_loss(pred: Tensor, target: Tensor) -> tuple[Tensor, Tensor, Tensor]:
@@ -112,8 +112,8 @@ def feature_summary(features: Tensor, mask: Tensor) -> MaskedFeatureSummary:
     fg = _masked_mean(features, mv, fg_cnt)
     bg = _masked_mean(features, bv, bg_cnt)
     return MaskedFeatureSummary(
-        fg_mean=tsum(fg, axis=0) * (1.0 / n),
-        bg_mean=tsum(bg, axis=0) * (1.0 / n),
+        fg_mean=tmean(fg, axis=0),
+        bg_mean=tmean(bg, axis=0),
         fg_count=float(fg_cnt.mean()),
         bg_count=float(bg_cnt.mean()),
         per_sample_fg=fg,
@@ -147,8 +147,8 @@ def fd_exch_loss(summary: MaskedFeatureSummary,
         tags = list(source_tags)
         if len(tags) != n:
             raise ContractError(f"{len(tags)} tags for batch of {n}")
-        base_idx = [i for i, t in enumerate(tags) if t == "base"]
-        novel_idx = [i for i, t in enumerate(tags) if t != "base"]
+        base_idx = [i for i, t in enumerate(tags) if t == BASE_SITE.name]
+        novel_idx = [i for i, t in enumerate(tags) if t != BASE_SITE.name]
         if base_idx and novel_idx:
             pairing = np.empty(n, dtype=np.int64)
             pairing[base_idx] = np.resize(novel_idx, len(base_idx))
@@ -169,7 +169,7 @@ def fd_exch_loss(summary: MaskedFeatureSummary,
     d1 = tsum(square(fg - bg_j), axis=3)      # (n,1,1,1)
     d2 = tsum(square(fg_j - bg), axis=3)
     per = -log(d1 + d2 + FD_EPS)
-    return tsum(per, axis=0) * (1.0 / n), warning
+    return tmean(per, axis=0), warning
 
 
 @dataclass

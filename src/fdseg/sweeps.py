@@ -136,8 +136,7 @@ def _run_cell(settings: SweepSettings, condition: float, seed: int,
             train_set = train_set + novel_train[:n_add]
         cfg = _train_config(settings, seed, loss_mode, noise_sigma)
         model = init_params(_unet_config(settings), seed=seed)
-        best, _ = train(cfg, model, {"train": train_set, "val": val_b,
-                                     "test": test_b})
+        best, _ = train(cfg, model, {"train": train_set, "val": val_b})
         records = evaluate(best, test_b)
         return SweepRow(condition, seed, loss_mode,
                         float(np.mean([r.dice for r in records])),
@@ -276,8 +275,8 @@ def read_sweep_csv(path: str) -> SweepResult:
     """Each column parsed with its SweepRow field's type; each header name
     must be the field at its position. Extra columns are ignored, a missing
     one takes its default (a five-column file is "ok"). A row with fewer
-    fields than the header, such as one a killed run cut short, or an "ok"
-    row whose scores are not finite, is an error."""
+    fields than the header (a killed run's last), a non-finite condition or
+    an "ok" row's non-finite score is an error."""
     types = get_type_hints(SweepRow).items()
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -292,6 +291,8 @@ def read_sweep_csv(path: str) -> SweepResult:
                                      f"{len(header)}-column header")
                 r = SweepRow(**{name: kind(value) for (name, kind), value
                                 in zip(types, row)})
+                if not math.isfinite(r.condition):
+                    raise ValueError(f"condition {r.condition} is not finite")
                 if r.status == "ok" and not (math.isfinite(r.test_dice_base)
                                              and math.isfinite(r.test_iou_base)):
                     raise ValueError("an ok row needs finite scores")

@@ -11,8 +11,8 @@ import pytest
 import fdseg.cli
 import fdseg.sweeps
 from fdseg.cli import (GEN_DATA_SETTINGS, SWEEP_SETTINGS, TRAIN_SETTINGS,
-                       main)
-from fdseg.data import BASE_SITE, NOVEL_SITE, load_site
+                       build_parser, main)
+from fdseg.data import BASE_SITE, NOVEL_SITE, SITES, load_site
 from fdseg.sweeps import (SweepResult, SweepRow, SweepSettings, read_sweep_csv,
                           write_sweep_csv)
 from fdseg.trainer import (TrainConfig, TrainingAborted, blas_threads,
@@ -712,6 +712,27 @@ def test_report_of_a_short_row_exits_config_error(tmp_path, capsys):
     assert main(["report", str(path)]) == 2
     assert "malformed sweep CSV at line 3" in capsys.readouterr().err
     assert not (tmp_path / "noise_sweep.svg").exists()
+
+
+@pytest.mark.parametrize("condition", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("status", ["ok", "aborted: nan"])
+def test_report_of_a_non_finite_condition_exits_config_error(
+        tmp_path, capsys, condition, status):
+    path = tmp_path / "noise_sweep.csv"
+    path.write_text(SIX_COLUMNS + f"{condition},0,seg_only,0.5,0.4,{status}\n"
+                    "1.0,0,seg_only,0.6,0.5,ok\n")
+    assert main(["report", str(path)]) == 2
+    assert "malformed sweep CSV at line 2" in capsys.readouterr().err
+    assert not (tmp_path / "noise_sweep.svg").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "gen-data"])
+def test_site_choices_are_the_sources_of_data_sites(command):
+    (commands,) = [a for a in build_parser()._actions if a.dest == "command"]
+    (site,) = [a for a in commands.choices[command]._actions
+               if a.dest == "site"]
+    assert list(site.choices) == list(SITES)
+    assert SITES == {BASE_SITE.name: BASE_SITE, NOVEL_SITE.name: NOVEL_SITE}
 
 
 def test_sweep_csv_extra_columns_are_ignored(tmp_path):

@@ -139,6 +139,20 @@ def test_training_deterministic():
         assert a.val_dice == pytest.approx(b.val_dice, abs=1e-6)
 
 
+def test_train_never_reads_a_test_split():
+    """Selection sees only train and val: a test split passed beside them
+    changes neither the history nor the bytes of the selected model."""
+    data = tiny_datasets()
+    config = quick_config(loss_mode="seg+fd+exch")
+    best, history = train(config, tiny_model(seed=3), data)
+    best_tv, history_tv = train(config, tiny_model(seed=3),
+                                {"train": data["train"], "val": data["val"]})
+    assert history_tv == history
+    for name in best.params:
+        assert best_tv.params[name].values.tobytes() \
+            == best.params[name].values.tobytes(), name
+
+
 def test_phase1_total_equals_seg():
     data = tiny_datasets()
     _, hist = train(quick_config(phase1_epochs=3, phase2_epochs=1), tiny_model(),
