@@ -66,7 +66,7 @@ BASE_SITE = SiteConfig("base", fg_intensity_mean=0.75, bg_intensity_mean=0.35,
                        texture_sigma=0.05)
 NOVEL_SITE = SiteConfig("novel", fg_intensity_mean=0.55, bg_intensity_mean=0.30,
                         texture_sigma=0.12, blur_radius=1)
-# The kit's sources by name; a sample's source tag is one of these names.
+# The kit's sites by name: the choices of `--site`.
 SITES = {site.name: site for site in (BASE_SITE, NOVEL_SITE)}
 
 # Seed of the generated sites that single runs and sweeps train and test on.
@@ -77,7 +77,7 @@ DATA_SEED = 1234
 class SiteSample:
     image: np.ndarray   # (h,w,1) float32 in [0,1]
     mask: np.ndarray    # (h,w,1) float32 binary
-    source: str         # a key of SITES
+    source: str         # the name of the site it was drawn from
     id: int
 
     def validate(self) -> "SiteSample":
@@ -139,7 +139,7 @@ def generate_site(config: SiteConfig, n: int, seed: int) -> list[SiteSample]:
         samples.append(SiteSample(
             image=img.astype(np.float32)[..., None],
             mask=mask.astype(np.float32)[..., None],
-            source=config.name if config.name in SITES else BASE_SITE.name,
+            source=config.name,
             id=i).validate())
     return samples
 
@@ -271,9 +271,10 @@ def save_site(samples: Sequence[SiteSample], config: SiteConfig, root: str) -> s
     return site_dir
 
 
-def load_site(site_dir: str, source: str = BASE_SITE.name) -> list[SiteSample]:
-    """The samples of `<site_dir>/images/*.pgm` in id order. Each such file
-    must be named `<sample id>.pgm`, as save_pgm names it."""
+def load_site(site_dir: str) -> list[SiteSample]:
+    """The samples of `<site_dir>/images/*.pgm`, each named `<sample id>.pgm` as
+    save_pgm names it, in id order; their source is the directory's name."""
+    source = os.path.basename(os.path.abspath(site_dir))
     ids = []
     for name in os.listdir(os.path.join(site_dir, "images")):
         if name.endswith(".pgm"):

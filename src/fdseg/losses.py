@@ -7,7 +7,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import BASE_SITE
 from .tensor import (Tensor, ContractError, DimensionError, clamp, index_batch,
                      log, maxpool2d, no_grad, square, tmean, tsum)
 from .unet import FeatureTap
@@ -136,8 +135,8 @@ def fd_exch_loss(summary: MaskedFeatureSummary,
                  shuffle_offset: Optional[int] = None,
                  seed: int = 0) -> tuple[Tensor, Optional[str]]:
     """Cross-sample discrepancy pairing each foreground with another sample's
-    background. Returns (loss, warning); warning is set when tags were supplied
-    but one source is absent and pairing fell back to the shuffled offset."""
+    background, with tags one of another source. Returns (loss, warning);
+    warning is set when all tags are equal and pairing fell back to an offset."""
     fg = summary.per_sample_fg
     bg = summary.per_sample_bg
     n = fg.shape[0]
@@ -147,12 +146,12 @@ def fd_exch_loss(summary: MaskedFeatureSummary,
         tags = list(source_tags)
         if len(tags) != n:
             raise ContractError(f"{len(tags)} tags for batch of {n}")
-        base_idx = [i for i, t in enumerate(tags) if t == BASE_SITE.name]
-        novel_idx = [i for i, t in enumerate(tags) if t != BASE_SITE.name]
-        if base_idx and novel_idx:
+        lead = [i for i, t in enumerate(tags) if t == tags[0]]
+        rest = [i for i, t in enumerate(tags) if t != tags[0]]
+        if rest:
             pairing = np.empty(n, dtype=np.int64)
-            pairing[base_idx] = np.resize(novel_idx, len(base_idx))
-            pairing[novel_idx] = np.resize(base_idx, len(novel_idx))
+            pairing[lead] = np.resize(rest, len(lead))
+            pairing[rest] = np.resize(lead, len(rest))
         else:
             warning = "fd_exch: single-source batch, falling back to offset pairing"
 

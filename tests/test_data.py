@@ -390,3 +390,16 @@ def test_site_gives_up_after_101_one_class_draws(monkeypatch):
                        match="site base: could not draw a two-class mask"):
         generate_site(flat_config(), 3, seed=0)
     assert len(draws) == 101
+
+
+def test_renamed_site_tags_its_samples_with_its_name():
+    shifted = dataclasses.replace(NOVEL_SITE, name="shifted", image_size=(16, 16))
+    assert [s.source for s in generate_site(shifted, 4, seed=0)] == ["shifted"] * 4
+
+
+@pytest.mark.parametrize("trailing", ["", "/"], ids=["plain", "trailing_slash"])
+def test_loaded_site_tags_its_samples_with_its_directory_name(tmp_path, trailing):
+    novel = dataclasses.replace(NOVEL_SITE, image_size=(16, 16))
+    site_dir = save_site(generate_site(novel, 3, seed=0), novel, str(tmp_path))
+    assert site_dir == str(tmp_path / "novel")
+    assert [s.source for s in load_site(site_dir + trailing)] == ["novel"] * 3

@@ -4,12 +4,16 @@ Analytic values are asserted where the arithmetic is forced; everything else
 is compared against direct per-pixel or masked-mean oracles written
 independently of the library code.
 """
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fdseg.losses
+from fdseg.data import BASE_SITE, NOVEL_SITE, generate_site
 from fdseg.losses import (AlphaState, MaskedFeatureSummary, alpha_update,
                           bce_loss, dice_loss, fd_exch_loss, fd_loss,
                           feature_summary, pool_mask, seg_loss, total_loss)
@@ -417,6 +421,66 @@ def test_exch_single_source_falls_back_with_warning():
     loss, warn = fd_exch_loss(s, source_tags=["base", "base", "base"], seed=1)
     assert warn is not None
     assert np.isfinite(loss.item())
+
+
+def test_exch_renamed_site_pairs_with_base_without_warning():
+    shifted = dataclasses.replace(NOVEL_SITE, name="shifted", image_size=(16, 16))
+    samples = (generate_site(dataclasses.replace(BASE_SITE, image_size=(16, 16)),
+                             2, seed=0) + generate_site(shifted, 2, seed=0))
+    tags = [x.source for x in samples]
+    assert tags == ["base", "base", "shifted", "shifted"]
+    s = batch_summary(4, 2, seed=28)
+    loss, warn = fd_exch_loss(s, source_tags=tags, seed=0)
+    assert warn is None
+    fg = s.per_sample_fg.values.reshape(4, -1).astype(np.float64)
+    bg = s.per_sample_bg.values.reshape(4, -1).astype(np.float64)
+    assert loss.item() == pytest.approx(exch_oracle(fg, bg, [2, 3, 0, 1]),
+                                        rel=1e-4)
+
+
+# which samples of a batch of 2-16 share a source; both sources present
+two_source_batches = st.integers(2, 16).flatmap(
+    lambda n: st.lists(st.booleans(), min_size=n, max_size=n)
+    .filter(lambda flags: 0 < sum(flags) < n))
+tag_names = (st.lists(st.text(min_size=1, max_size=6), min_size=2, max_size=2,
+                      unique=True)
+             | st.sampled_from([["novel", "base"], ["base", "shifted"],
+                                ["shifted", "base"], ["novel", "shifted"]]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(two_source_batches, tag_names)
+def test_exch_pairing_depends_only_on_which_samples_share_a_source(flags, names):
+    """A two-source batch gives the bytes of its base/novel tagging whatever
+    the two tags are called and whichever comes first; each group pairs in
+    turn with the other."""
+    n = len(flags)
+    s = batch_summary(n, 2, seed=n)
+
+    def tagged_loss(a, b):
+        loss, warn = fd_exch_loss(s, source_tags=[a if f else b for f in flags])
+        assert warn is None
+        return loss
+
+    reference = tagged_loss("base", "novel")
+    for a, b in (names, names[::-1]):
+        assert tagged_loss(a, b).values.tobytes() == reference.values.tobytes()
+    a, b = np.flatnonzero(flags), np.flatnonzero(~np.array(flags))
+    pairing = np.empty(n, dtype=int)
+    pairing[a], pairing[b] = np.resize(b, len(a)), np.resize(a, len(b))
+    fg = s.per_sample_fg.values.reshape(n, -1).astype(np.float64)
+    bg = s.per_sample_bg.values.reshape(n, -1).astype(np.float64)
+    assert reference.item() == pytest.approx(exch_oracle(fg, bg, pairing),
+                                             rel=1e-4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 16), st.text(min_size=1, max_size=6))
+def test_exch_one_source_batch_warns_and_takes_the_offset_pairing(n, name):
+    s = batch_summary(n, 2, seed=n)
+    loss, warn = fd_exch_loss(s, source_tags=[name] * n, seed=3)
+    assert warn is not None
+    assert loss.values.tobytes() == fd_exch_loss(s, seed=3)[0].values.tobytes()
 
 
 def test_exch_permutation_invariance_vs_oracle():
